@@ -8,14 +8,12 @@ import urllib.error
 import urllib.request
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence
+from typing import Iterable, Optional, Protocol
 
 from sourcescope._fmt import fmt2, pct, round2
 from sourcescope.corpus import Article, Corpus, MediaType
-from sourcescope.extractor import ExtractionResult, Kind
+from sourcescope.extractor import KIND_ORDER, ExtractionResult, Kind
 from sourcescope.patterns import Platform
-
-KIND_ORDER = (Kind.QUOTATION, Kind.PARAPHRASE, Kind.EMBEDDING)
 
 # accumulator keys are plain value tuples: (media_type, year, topic-or-None)
 
@@ -50,7 +48,7 @@ class StatsAccumulator:
 
 
 def accumulate(
-    results: Sequence[ExtractionResult],
+    results: Iterable[ExtractionResult],
     corpus: Corpus,
     topics: Optional[dict] = None,
     count_articles: bool = True,

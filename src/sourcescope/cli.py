@@ -13,7 +13,6 @@ from typing import Optional
 from sourcescope import analytics, evaluator, extractor
 from sourcescope.corpus import Corpus, IngestError, ingest, serialize, stratified_sample
 from sourcescope.patterns import PatternFileError, PatternSet, default_patterns, load_patterns
-from sourcescope.segmenter import segment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -88,19 +87,24 @@ def _escape_cell(text: str) -> str:
     return text.replace("\t", " ").replace("\n", " ")
 
 
+def _writing_sentences(corpus: Corpus, results, fh):
+    """Pass the results through, writing each article's sentences.tsv rows on the way."""
+    for article, result in zip(corpus.articles, results):
+        for index, (start, end) in enumerate(result.sentences):
+            fh.write(f"{article.id}\t{index}\t{_escape_cell(article.body[start:end])}\n")
+        yield result
+
+
 def cmd_extract(config: RunConfig) -> int:
     corpus = ingest(config.corpus_path, fail_fast=config.fail_fast)
     pattern_set = _load_patterns(config)
     out = _out_dir(config)
-    results = extractor.extract_corpus(corpus, pattern_set, workers=config.parallelism)
+    results = extractor.iter_extract(corpus, pattern_set, workers=config.parallelism)
 
-    mention_count = extractor.write_mentions(results, out / "mentions.jsonl")
     with open(out / "sentences.tsv", "w", encoding="utf-8") as fh:
-        for article in corpus.articles:
-            for span in segment(article.body):
-                fh.write(
-                    f"{article.id}\t{span.index}\t{_escape_cell(article.body[span.start:span.end])}\n"
-                )
+        mention_count = extractor.write_mentions(
+            _writing_sentences(corpus, results, fh), out / "mentions.jsonl"
+        )
     print(f"{len(corpus)} articles processed, {mention_count} mentions")
     print(f"pattern set version: {pattern_set.version}")
     return EXIT_OK
@@ -110,7 +114,7 @@ def cmd_evaluate(config: RunConfig, gold_path: str) -> int:
     corpus = ingest(config.corpus_path, fail_fast=config.fail_fast)
     pattern_set = _load_patterns(config)
     out = _out_dir(config)
-    results = extractor.extract_corpus(corpus, pattern_set, workers=config.parallelism)
+    results = extractor.iter_extract(corpus, pattern_set, workers=config.parallelism)
     predicted = [m for r in results for m in r.mentions]
     gold = evaluator.load_gold(gold_path)
 
@@ -135,13 +139,13 @@ def cmd_analyze(config: RunConfig, top_k: int) -> int:
     corpus = ingest(config.corpus_path, fail_fast=config.fail_fast)
     pattern_set = _load_patterns(config)
     out = _out_dir(config)
-    results = extractor.extract_corpus(corpus, pattern_set, workers=config.parallelism)
 
     labeler = _labeler(config)
     topics = None
     if labeler is not None:
         topics = {a.id: analytics.label_topic(a, labeler) for a in corpus.articles}
 
+    results = extractor.iter_extract(corpus, pattern_set, workers=config.parallelism)
     acc = analytics.accumulate(results, corpus, topics=topics)
     media = analytics.media_report(acc)
     trend = analytics.trend_report(acc)

@@ -123,15 +123,21 @@ def ingest(path: str, fail_fast: bool = True) -> Corpus:
     rejected: list[tuple[int, str]] = []
     unknown_total = 0
 
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for line_number, raw in enumerate(fh, start=1):
             try:
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise IngestError(line_number, f"invalid UTF-8 at byte offset {exc.start}") from None
+                if not line.strip():
+                    continue
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise IngestError(line_number, f"malformed record: {exc.msg}") from None
+                except RecursionError:
+                    raise IngestError(line_number, "malformed record: nested too deeply") from None
                 article, unknown = _parse_record(obj, line_number)
                 if article.id in seen_ids:
                     raise IngestError(line_number, f"duplicate article id {article.id!r}")

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from sourcescope._fmt import fmt2, pct
-from sourcescope.extractor import Kind, SourceMention
+from sourcescope.extractor import KIND_ORDER, Kind, SourceMention
 from sourcescope.patterns import Platform
 
-KIND_ORDER = (Kind.QUOTATION, Kind.PARAPHRASE, Kind.EMBEDDING)
 KIND_LABELS = {Kind.QUOTATION: "Quotation", Kind.PARAPHRASE: "Paraphrase", Kind.EMBEDDING: "Embedding"}
 
 

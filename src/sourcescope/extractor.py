@@ -6,7 +6,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from sourcescope.corpus import Article, Corpus
 from sourcescope.patterns import (
@@ -29,6 +29,9 @@ class Kind(str, Enum):
     EMBEDDING = "embedding"
 
 
+KIND_ORDER = (Kind.QUOTATION, Kind.PARAPHRASE, Kind.EMBEDDING)
+
+
 @dataclass(frozen=True)
 class SourceMention:
     article_id: str
@@ -44,7 +47,7 @@ class SourceMention:
 class ExtractionResult:
     article_id: str
     mentions: tuple  # of SourceMention, sorted by (sentence_index, platform)
-    sentence_count: int
+    sentences: tuple  # of (start, end) body offsets, in sentence order
     direct_quote_count: int
 
 
@@ -81,7 +84,9 @@ def classify_sentence(sentence: str, pattern_set: PatternSet) -> list[tuple]:
 
 
 def extract_mentions(article: Article, pattern_set: PatternSet) -> ExtractionResult:
-    spans = segment(article.body)
+    """Segment and quote-scan the body once; classify each sentence."""
+    quotes = extract_quote_spans(article.body)
+    spans = segment(article.body, quotes)
     mentions: list[SourceMention] = []
     for span in spans:
         sentence = article.body[span.start:span.end]
@@ -98,14 +103,11 @@ def extract_mentions(article: Article, pattern_set: PatternSet) -> ExtractionRes
                 )
             )
     mentions.sort(key=lambda m: (m.sentence_index, m.platform.value))
-    direct_quotes = sum(
-        1 for q in extract_quote_spans(article.body) if q.end - q.start >= MIN_QUOTE_CHARS
-    )
     return ExtractionResult(
         article_id=article.id,
         mentions=tuple(mentions),
-        sentence_count=len(spans),
-        direct_quote_count=direct_quotes,
+        sentences=tuple((span.start, span.end) for span in spans),
+        direct_quote_count=sum(1 for q in quotes if q.end - q.start >= MIN_QUOTE_CHARS),
     )
 
 
@@ -121,15 +123,22 @@ def _extract_one(article: Article) -> ExtractionResult:
     return extract_mentions(article, _worker_pattern_set)
 
 
-def extract_corpus(corpus: Corpus, pattern_set: PatternSet, workers: int = 1) -> list[ExtractionResult]:
-    """One result per article, in corpus order regardless of parallelism."""
+def iter_extract(corpus: Corpus, pattern_set: PatternSet, workers: int = 1) -> Iterator[ExtractionResult]:
+    """Yield one result per article, in corpus order regardless of parallelism."""
     if workers <= 1:
-        return [extract_mentions(article, pattern_set) for article in corpus.articles]
+        for article in corpus.articles:
+            yield extract_mentions(article, pattern_set)
+        return
     chunksize = max(1, len(corpus.articles) // (workers * 8))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(pattern_set,)
     ) as executor:
-        return list(executor.map(_extract_one, corpus.articles, chunksize=chunksize))
+        yield from executor.map(_extract_one, corpus.articles, chunksize=chunksize)
+
+
+def extract_corpus(corpus: Corpus, pattern_set: PatternSet, workers: int = 1) -> list[ExtractionResult]:
+    """One result per article, in corpus order regardless of parallelism."""
+    return list(iter_extract(corpus, pattern_set, workers))
 
 
 def mention_to_record(mention: SourceMention) -> dict:
@@ -154,24 +163,3 @@ def write_mentions(results, path) -> int:
                 fh.write("\n")
                 count += 1
     return count
-
-
-def read_mentions(path) -> list[SourceMention]:
-    mentions: list[SourceMention] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            mentions.append(
-                SourceMention(
-                    article_id=obj["article_id"],
-                    sentence_index=int(obj["sentence_index"]),
-                    platform=Platform(obj["platform"]),
-                    kind=Kind(obj["kind"]),
-                    pattern_id=obj.get("pattern_id"),
-                    span_start=int(obj["span_start"]),
-                    span_end=int(obj["span_end"]),
-                )
-            )
-    return mentions

@@ -134,10 +134,6 @@ def load_patterns(path) -> PatternSet:
             anchored = fields[2].strip().lower() if len(fields) == 3 and fields[2].strip() else "both"
             if anchored not in ("both", "left"):
                 raise PatternFileError(f"line {line_number}: unknown anchored value {anchored!r}")
-            if any(p.platform == platform and p.phrase == phrase for p in patterns):
-                raise PatternFileError(
-                    f"line {line_number}: duplicate pattern ({platform.value}, {phrase!r})"
-                )
             counters[platform] += 1
             patterns.append(
                 CitationPattern(
@@ -201,11 +197,6 @@ def find_embedding_span(sentence: str) -> Optional[tuple[int, int]]:
         if m:
             return (m.start(), m.end())
     return None
-
-
-def detect_embedding(sentence: str) -> Optional[Platform]:
-    """Twitter when an embedding rule fires; never Facebook."""
-    return Platform.TWITTER if find_embedding_span(sentence) is not None else None
 
 
 # --- quote-mark table and scanning ---

@@ -11,8 +11,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from sourcescope.patterns import OPENING_QUOTE_CHARS, extract_quote_spans
+from sourcescope.patterns import OPENING_QUOTE_CHARS, QuoteSpan, extract_quote_spans
 
 ABBREVIATIONS = frozenset(
     {
@@ -39,13 +40,16 @@ def _token_ending_at(text: str, end: int) -> str:
     return text[start:end]
 
 
-def segment(text: str) -> list[SentenceSpan]:
+def segment(text: str, quotes: Optional[Sequence[QuoteSpan]] = None) -> list[SentenceSpan]:
+    """Sentence spans of text; `quotes` is extract_quote_spans(text) when already known."""
     splits: set[int] = set()
 
     for m in _PARAGRAPH_RE.finditer(text):
         splits.add(m.start())
 
-    quote_regions = [(q.start, q.end) for q in extract_quote_spans(text)]
+    if quotes is None:
+        quotes = extract_quote_spans(text)
+    quote_regions = [(q.start, q.end) for q in quotes]
     region_starts = [r[0] for r in quote_regions]
 
     def inside_quote(pos: int) -> bool:

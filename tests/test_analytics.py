@@ -42,7 +42,7 @@ def article(i, media=MediaType.MAINSTREAM, year=2015, topic=None, body=""):
 
 
 def result(article_id, mentions=(), quotes=0):
-    return ExtractionResult(article_id, tuple(mentions), sentence_count=1, direct_quote_count=quotes)
+    return ExtractionResult(article_id, tuple(mentions), sentences=((0, 1),), direct_quote_count=quotes)
 
 
 def twitter_mention(article_id, sent, kind):

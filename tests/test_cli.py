@@ -2,13 +2,16 @@
 
 import csv
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from sourcescope import cli
-from sourcescope.corpus import ingest
+from sourcescope import analytics, cli, corpus, evaluator, extractor, patterns, segmenter
+from sourcescope.corpus import ingest, serialize
+from sourcescope.segmenter import segment
 
-from conftest import GOLDEN_CORPUS, GOLDEN_GOLD
+from conftest import GOLDEN_CORPUS, GOLDEN_GOLD, random_corpus
 
 
 def run(args, capsys):
@@ -59,6 +62,23 @@ class TestIngest:
         assert code == cli.EXIT_VALIDATION
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        [b'{"id": "a2", "body": "\xff"}', b"[" * 100000 + b"]" * 100000],
+        ids=["undecodable", "deeply-nested"],
+    )
+    def test_bad_line_is_rejected_not_fatal(self, tmp_path, capsys, bad_line):
+        path = tmp_path / "corpus.jsonl"
+        good = [json.dumps(dict(GOOD_RECORD, id=i)).encode("utf-8") for i in ("a1", "a3")]
+        path.write_bytes(b"\n".join([good[0], bad_line, good[1]]) + b"\n")
+        code, out, _ = run(["ingest", "--corpus", str(path)], capsys)
+        assert code == cli.EXIT_OK
+        assert "2 accepted, 1 rejected" in out
+        assert "rejected line 2" in out
+        code, _, err = run(["ingest", "--corpus", str(path), "--fail-fast"], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert "line 2" in err
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run(["ingest", "--corpus", str(tmp_path / "nope.jsonl")], capsys)
         assert code == cli.EXIT_IO
@@ -96,9 +116,46 @@ class TestExtract:
             capsys,
         )
         assert code == cli.EXIT_OK
-        assert (serial / "mentions.jsonl").read_bytes() == (
-            parallel / "mentions.jsonl"
-        ).read_bytes()
+        for name in ("mentions.jsonl", "sentences.tsv"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sentences_tsv_matches_two_pass_oracle(self, tmp_path, capsys, workers):
+        corpus_path = tmp_path / "corpus.jsonl"
+        articles = random_corpus(random.Random(17), 40)
+        serialize(articles, corpus_path)
+        out = tmp_path / "out"
+        code, _, _ = run(
+            ["extract", "--corpus", str(corpus_path), "--out", str(out), "--parallel", workers],
+            capsys,
+        )
+        assert code == cli.EXIT_OK
+        # reference: segment each body again after extraction, as a separate pass
+        expected = []
+        for article in articles:
+            for span in segment(article.body):
+                text = article.body[span.start:span.end].replace("\t", " ").replace("\n", " ")
+                expected.append(f"{article.id}\t{span.index}\t{text}\n")
+        assert (out / "sentences.tsv").read_bytes() == "".join(expected).encode("utf-8")
+
+    def test_each_body_segmented_and_quote_scanned_once(self, tmp_path, capsys, monkeypatch):
+        calls = Counter()
+        for original in (segmenter.segment, patterns.extract_quote_spans):
+
+            def counted(*args, _original=original, **kwargs):
+                calls[_original.__name__] += 1
+                return _original(*args, **kwargs)
+
+            for module in (analytics, cli, corpus, evaluator, extractor, patterns, segmenter):
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(
+            ["extract", "--corpus", str(GOLDEN_CORPUS), "--out", str(tmp_path / "out")], capsys
+        )
+        assert code == cli.EXIT_OK
+        articles = len(ingest(GOLDEN_CORPUS))
+        assert calls == {"segment": articles, "extract_quote_spans": articles}
 
     def test_sentences_tsv_has_three_columns(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -121,7 +121,7 @@ class TestClassifySentence:
 class TestExtractMentions:
     def test_empty_body(self, pattern_set):
         result = extract_mentions(article(""), pattern_set)
-        assert result == ExtractionResult("t0", (), 0, 0)
+        assert result == ExtractionResult("t0", (), (), 0)
 
     def test_embedding_plus_facebook_quotation(self, pattern_set):
         body = (
