@@ -51,15 +51,13 @@ def accumulate(
     results: Iterable[ExtractionResult],
     corpus: Corpus,
     topics: Optional[dict] = None,
-    count_articles: bool = True,
 ) -> StatsAccumulator:
     """Fold extraction results into counters.
 
     An article with any mention increments articles_with_mention exactly
-    once. `topics` optionally overrides per-article topic labels. With
-    count_articles=False the corpus-wide article counters are skipped,
-    which lets partial result streams over the same corpus be merged
-    without double-counting articles.
+    once. `topics` optionally overrides per-article topic labels. Every
+    article of the corpus is counted, so accumulators over disjoint corpus
+    shards merge into the accumulator of their union.
     """
     index = corpus.by_id()
 
@@ -68,9 +66,8 @@ def accumulate(
         return (article.media_type.value, article.published_at.year, topic)
 
     acc = StatsAccumulator()
-    if count_articles:
-        for article in corpus.articles:
-            acc.article_count[key_of(article)] += 1
+    for article in corpus.articles:
+        acc.article_count[key_of(article)] += 1
 
     for result in results:
         article = index.get(result.article_id)
@@ -405,6 +402,7 @@ class RemoteTopicLabeler:
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         last_error: Optional[Exception] = None
+        attempt = 0
         for attempt in range(1, self.retries + 1):
             request = urllib.request.Request(
                 self.url, data=text.encode("utf-8"), headers=headers, method="POST"
@@ -415,7 +413,9 @@ class RemoteTopicLabeler:
                     return body or None
             except (urllib.error.URLError, OSError) as exc:
                 last_error = exc
-        raise LabelerError(f"remote labeler at {self.url} failed: {last_error}", self.retries)
+                if isinstance(exc, urllib.error.HTTPError) and exc.code < 500:
+                    break  # the server refused the request; sending it again will not help
+        raise LabelerError(f"remote labeler at {self.url} failed: {last_error}", attempt)
 
 
 def label_topic(article: Article, labeler: Optional[TopicLabeler] = None) -> Optional[str]:

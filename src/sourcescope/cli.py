@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from sourcescope import analytics, evaluator, extractor
-from sourcescope.corpus import Corpus, IngestError, ingest, serialize, stratified_sample
-from sourcescope.patterns import PatternFileError, PatternSet, default_patterns, load_patterns
+from sourcescope.corpus import Corpus, ingest, serialize, stratified_sample
+from sourcescope.patterns import PatternSet, default_patterns, load_patterns
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -22,58 +19,28 @@ EXIT_LABELER = 3
 TOKEN_ENV_VAR = "SOURCESCOPE_LABELER_TOKEN"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    corpus_path: str
-    patterns_path: Optional[str]
-    out_dir: str
-    parallelism: int
-    seed: int
-    fail_fast: bool
-    labeler_mode: str  # preset | keyword | remote
-    labeler_url: Optional[str]
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        if args.parallel < 1:
-            raise ValueError("--parallel must be >= 1")
-        return cls(
-            corpus_path=args.corpus,
-            patterns_path=args.patterns,
-            out_dir=args.out,
-            parallelism=args.parallel,
-            seed=args.seed,
-            fail_fast=args.fail_fast,
-            labeler_mode=args.labeler,
-            labeler_url=args.labeler_url,
-        )
+def _load_patterns(path) -> PatternSet:
+    return load_patterns(path) if path else default_patterns()
 
 
-def _load_patterns(config: RunConfig) -> PatternSet:
-    if config.patterns_path:
-        return load_patterns(config.patterns_path)
-    return default_patterns()
-
-
-def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
+def _out_dir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _labeler(config: RunConfig):
-    if config.labeler_mode == "keyword":
+def _labeler(args: argparse.Namespace):
+    if args.labeler == "keyword":
         return analytics.KeywordTopicLabeler()
-    if config.labeler_mode == "remote":
-        if not config.labeler_url:
+    if args.labeler == "remote":
+        if not args.labeler_url:
             raise ValueError("--labeler remote requires --labeler-url")
-        token = os.environ.get(TOKEN_ENV_VAR)
-        return analytics.RemoteTopicLabeler(config.labeler_url, token=token)
+        return analytics.RemoteTopicLabeler(args.labeler_url, token=os.environ.get(TOKEN_ENV_VAR))
     return None
 
 
-def cmd_ingest(config: RunConfig) -> int:
-    corpus = ingest(config.corpus_path, fail_fast=config.fail_fast)
+def cmd_ingest(args: argparse.Namespace) -> int:
+    corpus = ingest(args.corpus, fail_fast=args.fail_fast)
     report = corpus.ingest_report
     print(f"{report.accepted} accepted, {len(report.rejected)} rejected")
     for line_number, reason in report.rejected:
@@ -84,7 +51,8 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def _escape_cell(text: str) -> str:
-    return text.replace("\t", " ").replace("\n", " ")
+    # every str.splitlines line boundary, and tabs, become spaces
+    return " ".join(text.replace("\t", " ").splitlines())
 
 
 def _writing_sentences(corpus: Corpus, results, fh):
@@ -95,11 +63,11 @@ def _writing_sentences(corpus: Corpus, results, fh):
         yield result
 
 
-def cmd_extract(config: RunConfig) -> int:
-    corpus = ingest(config.corpus_path, fail_fast=config.fail_fast)
-    pattern_set = _load_patterns(config)
-    out = _out_dir(config)
-    results = extractor.iter_extract(corpus, pattern_set, workers=config.parallelism)
+def cmd_extract(args: argparse.Namespace) -> int:
+    corpus = ingest(args.corpus, fail_fast=args.fail_fast)
+    pattern_set = _load_patterns(args.patterns)
+    out = _out_dir(args.out)
+    results = extractor.iter_extract(corpus, pattern_set, workers=args.parallel)
 
     with open(out / "sentences.tsv", "w", encoding="utf-8") as fh:
         mention_count = extractor.write_mentions(
@@ -110,13 +78,13 @@ def cmd_extract(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(config: RunConfig, gold_path: str) -> int:
-    corpus = ingest(config.corpus_path, fail_fast=config.fail_fast)
-    pattern_set = _load_patterns(config)
-    out = _out_dir(config)
-    results = extractor.iter_extract(corpus, pattern_set, workers=config.parallelism)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    gold = evaluator.load_gold(args.gold)
+    corpus = ingest(args.corpus, fail_fast=args.fail_fast)
+    pattern_set = _load_patterns(args.patterns)
+    out = _out_dir(args.out)
+    results = extractor.iter_extract(corpus, pattern_set, workers=args.parallel)
     predicted = [m for r in results for m in r.mentions]
-    gold = evaluator.load_gold(gold_path)
 
     counts = evaluator.compare(predicted, gold)
     report = evaluator.metrics(counts)
@@ -135,22 +103,22 @@ def cmd_evaluate(config: RunConfig, gold_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(config: RunConfig, top_k: int) -> int:
-    corpus = ingest(config.corpus_path, fail_fast=config.fail_fast)
-    pattern_set = _load_patterns(config)
-    out = _out_dir(config)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    labeler = _labeler(args)
+    corpus = ingest(args.corpus, fail_fast=args.fail_fast)
+    pattern_set = _load_patterns(args.patterns)
+    out = _out_dir(args.out)
 
-    labeler = _labeler(config)
     topics = None
     if labeler is not None:
         topics = {a.id: analytics.label_topic(a, labeler) for a in corpus.articles}
 
-    results = extractor.iter_extract(corpus, pattern_set, workers=config.parallelism)
+    results = extractor.iter_extract(corpus, pattern_set, workers=args.parallel)
     acc = analytics.accumulate(results, corpus, topics=topics)
     media = analytics.media_report(acc)
     trend = analytics.trend_report(acc)
     ratio = analytics.ratio_report(acc)
-    topic = analytics.topic_report(acc, top_k)
+    topic = analytics.topic_report(acc, args.top_k)
 
     analytics.write_media_csv(media, out / "media.csv")
     analytics.write_ratio_csv(ratio, out / "ratio.csv")
@@ -167,66 +135,75 @@ def cmd_analyze(config: RunConfig, top_k: int) -> int:
     return EXIT_OK
 
 
-def cmd_sample(config: RunConfig, keywords: list[str], n: int) -> int:
-    corpus = ingest(config.corpus_path, fail_fast=config.fail_fast)
-    out = _out_dir(config)
-    sample = stratified_sample(corpus, keywords, n, config.seed)
+def cmd_sample(args: argparse.Namespace) -> int:
+    keywords = [kw.strip() for kw in args.keywords.split(",") if kw.strip()]
+    corpus = ingest(args.corpus, fail_fast=args.fail_fast)
+    out = _out_dir(args.out)
+    sample = stratified_sample(corpus, keywords, args.sample_size, args.seed)
     serialize(sample, out / "sample.jsonl")
     print(f"{len(sample)} articles sampled")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValueError, so it exits like any other validation failure."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sourcescope",
         description="Detect, evaluate, and analyze social-media source citations in news articles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--corpus", required=True, help="line-delimited corpus file")
-        p.add_argument("--patterns", default=None, help="pattern TSV (default: bundled set)")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--parallel", type=int, default=1, help="worker processes")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
-        p.add_argument("--fail-fast", action="store_true", help="stop at the first bad record")
-        p.add_argument("--labeler", choices=("preset", "keyword", "remote"), default="preset")
-        p.add_argument("--labeler-url", default=None, help="remote topic labeler endpoint")
-
-    for name in ("ingest", "extract", "evaluate", "analyze", "sample"):
+    def command(name, run, extracts=False):
         p = sub.add_parser(name)
-        add_shared(p)
-        if name == "evaluate":
-            p.add_argument("--gold", required=True, help="gold annotation file")
-        if name == "analyze":
-            p.add_argument("--top-k", type=int, default=5, help="topics per media type")
-        if name == "sample":
-            p.add_argument("--keywords", required=True, help="comma-separated stratum keywords")
-            p.add_argument("-n", "--sample-size", type=int, required=True)
+        p.set_defaults(run=run)
+        p.add_argument("--corpus", required=True, help="line-delimited corpus file")
+        p.add_argument("--fail-fast", action="store_true", help="stop at the first bad record")
+        if extracts:
+            p.add_argument("--out", default="out", help="output directory")
+            p.add_argument("--patterns", default=None, help="pattern TSV (default: bundled set)")
+            p.add_argument("--parallel", type=_positive_int, default=1, help="worker processes")
+        return p
 
+    command("ingest", cmd_ingest)
+    command("extract", cmd_extract, extracts=True)
+    evaluate = command("evaluate", cmd_evaluate, extracts=True)
+    evaluate.add_argument("--gold", required=True, help="gold annotation file")
+    analyze = command("analyze", cmd_analyze, extracts=True)
+    analyze.add_argument("--labeler", choices=("preset", "keyword", "remote"), default="preset")
+    analyze.add_argument("--labeler-url", default=None, help="remote topic labeler endpoint")
+    analyze.add_argument("--top-k", type=_positive_int, default=5, help="topics per media type")
+    sample = command("sample", cmd_sample)
+    sample.add_argument("--out", default="out", help="output directory")
+    sample.add_argument("--keywords", required=True, help="comma-separated stratum keywords")
+    sample.add_argument("-n", "--sample-size", type=int, required=True)
+    sample.add_argument("--seed", type=int, default=0, help="sampling seed")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig.from_args(args)
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "extract":
-            return cmd_extract(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, args.gold)
-        if args.command == "analyze":
-            return cmd_analyze(config, args.top_k)
-        if args.command == "sample":
-            keywords = [kw.strip() for kw in args.keywords.split(",") if kw.strip()]
-            return cmd_sample(config, keywords, args.sample_size)
-        raise AssertionError(f"unhandled command {args.command}")
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except analytics.LabelerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LABELER
-    except (IngestError, PatternFileError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad records, patterns, gold lines and usage; JSON errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -50,23 +50,36 @@ class EvalReport:
     micro: MetricRow
 
 
+def _gold_annotation(obj) -> GoldAnnotation:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+    missing = [key for key in ("article_id", "sentence_index", "platform", "kind") if key not in obj]
+    if missing:
+        raise ValueError(f"missing key {', '.join(missing)}")
+    article_id, index = obj["article_id"], obj["sentence_index"]
+    if not isinstance(article_id, str):
+        raise ValueError(f"article_id must be a string, not {article_id!r}")
+    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+        raise ValueError(f"sentence_index must be a non-negative integer, not {index!r}")
+    return GoldAnnotation(article_id, index, Platform(obj["platform"]), Kind(obj["kind"]))
+
+
 def load_gold(path) -> list[GoldAnnotation]:
-    """Read gold annotations, one JSON object per line."""
-    annotations: list[GoldAnnotation] = []
+    """Read gold annotations, one JSON object per line; a bad line raises ValueError with its number."""
+    annotations: dict = {}  # (article, sentence, platform) -> GoldAnnotation
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            annotations.append(
-                GoldAnnotation(
-                    article_id=obj["article_id"],
-                    sentence_index=int(obj["sentence_index"]),
-                    platform=Platform(obj["platform"]),
-                    kind=Kind(obj["kind"]),
-                )
-            )
-    return annotations
+            try:
+                gold = _gold_annotation(json.loads(line))
+                key = (gold.article_id, gold.sentence_index, gold.platform)
+                if key in annotations:
+                    raise ValueError(f"duplicate key {key[0]!r}, {key[1]}, {key[2].value}")
+                annotations[key] = gold
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"gold line {line_number}: {exc}") from None
+    return list(annotations.values())
 
 
 def _keyed(items, label: str) -> dict:
@@ -141,12 +154,12 @@ REPORTED_RESULTS = {
 }
 
 
-def f1_transposition_note(report: EvalReport, tol: float = 0.01) -> Optional[str]:
+def f1_transposition_note(report: EvalReport) -> Optional[str]:
     """A note when the computed F1s match the reported table with Quotation
     and Paraphrase swapped; None otherwise."""
 
     def close(a: float, b: float) -> bool:
-        return abs(a - b) <= tol + 1e-9
+        return abs(a - b) <= 0.01 + 1e-9  # one unit in the last place of a two-decimal cell
 
     q = report.per_kind[Kind.QUOTATION]
     p = report.per_kind[Kind.PARAPHRASE]

@@ -211,11 +211,13 @@ _PAIR_TABLE = (
     ("`", "'"),
     ("'", "'"),
 )
-_OPEN_MARKS = {open_mark: close_mark for open_mark, close_mark in _PAIR_TABLE}
-OPENING_QUOTE_CHARS = frozenset("\"'`“‘«")
+_OPEN_MARKS = dict(_PAIR_TABLE)
+OPENING_QUOTE_CHARS = frozenset(open_mark[0] for open_mark in _OPEN_MARKS)
 
-_MARK_RE = re.compile(r"``|''|[\"'`“”‘’«»]")
-_ALWAYS_QUOTE_MARKS = frozenset(['"', "``", "''", "`", "“", "”", "‘", "«", "»"])
+_MARKS = tuple(dict.fromkeys(mark for pair in _PAIR_TABLE for mark in pair))
+_MARK_RE = re.compile("|".join(re.escape(mark) for mark in sorted(_MARKS, key=len, reverse=True)))
+# single quotes double as apostrophes; every other mark is a quote sign wherever it stands
+_ALWAYS_QUOTE_MARKS = frozenset(_MARKS) - {"'", "’"}
 
 
 def _is_apostrophe(text: str, pos: int) -> bool:

@@ -70,13 +70,13 @@ class TestAccumulate:
             accumulate([result("zz")], corpus)
 
     def test_partial_streams_merge_equals_single_pass(self):
-        corpus = Corpus(articles=tuple(article(i) for i in range(6)), source_path="mem")
+        articles = tuple(article(i) for i in range(6))
         results = [
             result(f"a{i}", [twitter_mention(f"a{i}", 0, Kind.PARAPHRASE)], quotes=i) for i in range(6)
         ]
-        single = accumulate(results, corpus)
-        first = accumulate(results[:3], corpus)
-        second = accumulate(results[3:], corpus, count_articles=False)
+        single = accumulate(results, Corpus(articles=articles, source_path="mem"))
+        first = accumulate(results[:3], Corpus(articles=articles[:3], source_path="mem"))
+        second = accumulate(results[3:], Corpus(articles=articles[3:], source_path="mem"))
         assert first.merge(second) == single
 
     def test_topics_override(self):
@@ -335,6 +335,33 @@ class TestLabelers:
             assert received["auth"] == "Bearer sekrit"
         finally:
             server.shutdown()
+
+    @pytest.mark.parametrize("status, attempts", [(401, 1), (503, 3)])
+    def test_remote_labeler_retries_only_server_errors(self, status, attempts):
+        requests = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                requests.append(self.rfile.read(int(self.headers["Content-Length"])))
+                self.send_response(status)
+                self.end_headers()
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            labeler = RemoteTopicLabeler(f"http://127.0.0.1:{server.server_port}/label", retries=3)
+            with pytest.raises(LabelerError) as exc:
+                labeler.label("text")
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert len(requests) == attempts
+        assert exc.value.attempts == attempts
+        assert str(status) in str(exc.value)
 
     def test_remote_labeler_failure_carries_attempts(self):
         labeler = RemoteTopicLabeler("http://127.0.0.1:1/label", retries=2, timeout=0.2)

@@ -165,6 +165,27 @@ class TestExtract:
         for line in lines:
             assert len(line.split("\t")) == 3
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "The mayor wrote on Facebook\r\nthat the plan was ready. Residents waited.",
+            "The mayor wrote on Facebook\rthat the plan was ready.",
+            "The mayor\x0bwrote\x0con\x1cFacebook\x1dthat\x1ethe\x85plan\u2028was\u2029ready.",
+        ],
+        ids=["crlf", "cr", "other-line-boundaries"],
+    )
+    def test_sentences_tsv_line_breaks_stay_in_their_row(self, tmp_path, capsys, body):
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus_path, [dict(GOOD_RECORD, body=body)])
+        out = tmp_path / "out"
+        code, _, _ = run(["extract", "--corpus", str(corpus_path), "--out", str(out)], capsys)
+        assert code == cli.EXIT_OK
+        lines = (out / "sentences.tsv").read_text(encoding="utf-8").splitlines()
+        assert lines
+        for index, line in enumerate(lines):
+            assert line.split("\t")[:2] == ["a1", str(index)]
+            assert len(line.split("\t")) == 3
+
     def test_invalid_parallel(self, capsys):
         code, _, err = run(
             ["extract", "--corpus", str(GOLDEN_CORPUS), "--parallel", "0"], capsys
@@ -219,7 +240,15 @@ class TestEvaluate:
             "Micro-average",
         ]
 
-    def test_missing_gold_file(self, tmp_path, capsys):
+    def test_missing_gold_file(self, tmp_path, capsys, monkeypatch):
+        extractions = Counter()
+        original = extractor.extract_mentions
+
+        def counted(*args, **kwargs):
+            extractions["extract_mentions"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(extractor, "extract_mentions", counted)
         code, _, _ = run(
             [
                 "evaluate",
@@ -233,6 +262,33 @@ class TestEvaluate:
             capsys,
         )
         assert code == cli.EXIT_IO
+        assert extractions["extract_mentions"] == 0
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        ['{"article_id": "g01", "platform": "twitter", "kind": "quotation"}', "[1, 2]"],
+        ids=["missing-key", "not-an-object"],
+    )
+    def test_malformed_gold_line_is_validation_error(self, tmp_path, capsys, bad_line):
+        gold = tmp_path / "gold.jsonl"
+        lines = GOLDEN_GOLD.read_text(encoding="utf-8").splitlines()
+        lines.insert(2, bad_line)
+        gold.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(
+            [
+                "evaluate",
+                "--corpus",
+                str(GOLDEN_CORPUS),
+                "--gold",
+                str(gold),
+                "--out",
+                str(tmp_path / "out"),
+            ],
+            capsys,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error:")
+        assert "gold line 3" in err
 
 
 class TestAnalyze:
@@ -386,3 +442,66 @@ class TestSample:
         )
         assert code == cli.EXIT_VALIDATION
         assert err.startswith("error:")
+
+
+class TestUsage:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+        flags = {
+            name: {a.option_strings[-1] for a in sub._actions if a.dest != "help"}
+            for name, sub in commands.choices.items()
+        }
+        shared = {"--corpus", "--fail-fast"}
+        extracting = shared | {"--out", "--patterns", "--parallel"}
+        assert flags == {
+            "ingest": shared,
+            "extract": extracting,
+            "evaluate": extracting | {"--gold"},
+            "analyze": extracting | {"--labeler", "--labeler-url", "--top-k"},
+            "sample": shared | {"--out", "--keywords", "--sample-size", "--seed"},
+        }
+        assert sum(len(f) for f in flags.values()) == 27
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["ingest", "--out", "x"], "--out"),
+            (["extract", "--seed", "3"], "--seed"),
+            (["sample", "--keywords", "twitter", "-n", "2", "--parallel", "2"], "--parallel"),
+            (["evaluate", "--gold", str(GOLDEN_GOLD), "--labeler", "keyword"], "--labeler"),
+            (["analyze", "--seed", "1"], "--seed"),
+        ],
+        ids=["ingest", "extract", "sample", "evaluate", "analyze"],
+    )
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv + ["--corpus", str(GOLDEN_CORPUS)], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error:")
+        assert flag in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_corpus_is_validation_error(self, capsys):
+        code, _, err = run(["ingest"], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error:")
+        assert "--corpus" in err
+
+    def test_zero_top_k_rejected_before_ingest(self, tmp_path, capsys, monkeypatch):
+        calls = Counter()
+
+        def counted(*args, **kwargs):
+            calls["ingest"] += 1
+            return ingest(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest", counted)
+        code, _, err = run(
+            ["analyze", "--corpus", str(GOLDEN_CORPUS), "--out", str(tmp_path / "out"), "--top-k", "0"],
+            capsys,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "--top-k" in err
+        assert calls["ingest"] == 0
+        assert not (tmp_path / "out").exists()

@@ -167,3 +167,31 @@ def test_load_gold_roundtrip(tmp_path):
     )
     golds = load_gold(path)
     assert golds == [GoldAnnotation("a1", 2, Platform.TWITTER, Kind.EMBEDDING)]
+
+
+@pytest.mark.parametrize(
+    "bad_line, reason",
+    [
+        ('"a1"', "JSON object"),
+        ('{"article_id": "a1", "platform": "twitter", "kind": "embedding"}', "sentence_index"),
+        ('{"article_id": 7, "sentence_index": 2, "platform": "twitter", "kind": "embedding"}', "article_id"),
+        ('{"article_id": "a1", "sentence_index": -1, "platform": "twitter", "kind": "embedding"}', "sentence_index"),
+        ('{"article_id": "a1", "sentence_index": 2.5, "platform": "twitter", "kind": "embedding"}', "sentence_index"),
+        ('{"article_id": "a1", "sentence_index": true, "platform": "twitter", "kind": "embedding"}', "sentence_index"),
+        ('{"article_id": "a1", "sentence_index": 2, "platform": "myspace", "kind": "embedding"}', "myspace"),
+        ('{"article_id": "a1", "sentence_index": 2, "platform": "twitter", "kind": "rumour"}', "rumour"),
+        ('{"article_id": "a1", ', "gold line 2"),
+        ('{"article_id": "a0", "sentence_index": 0, "platform": "facebook", "kind": "paraphrase"}', "duplicate"),
+    ],
+    ids=[
+        "not-an-object", "missing-key", "non-string-id", "negative-index", "float-index",
+        "bool-index", "bad-platform", "bad-kind", "bad-json", "duplicate-key",
+    ],
+)
+def test_load_gold_rejects_bad_line(tmp_path, bad_line, reason):
+    path = tmp_path / "gold.jsonl"
+    good = '{"article_id": "a0", "sentence_index": 0, "platform": "facebook", "kind": "quotation"}'
+    path.write_text(f"{good}\n{bad_line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^gold line 2: ") as exc:
+        load_gold(path)
+    assert reason in str(exc.value)

@@ -5,6 +5,8 @@ import pytest
 from conftest import random_body
 
 from sourcescope.patterns import (
+    _PAIR_TABLE,
+    OPENING_QUOTE_CHARS,
     CitationPattern,
     PatternFileError,
     PatternSet,
@@ -185,6 +187,10 @@ class TestQuoteSigns:
     def test_backticks(self):
         assert contains_quote_signs("``quoted'' text") is True
 
+    @pytest.mark.parametrize("mark", sorted({m for pair in _PAIR_TABLE for m in pair} - {"'", "’"}))
+    def test_every_non_apostrophe_mark_is_a_sign_alone(self, mark):
+        assert contains_quote_signs(f"it was {mark} over") is True
+
 
 class TestQuoteSpans:
     def test_simple_quote(self):
@@ -195,6 +201,15 @@ class TestQuoteSpans:
 
     def test_no_marks(self):
         assert extract_quote_spans("plain text with no marks") == []
+
+    @pytest.mark.parametrize("open_mark, close_mark", _PAIR_TABLE)
+    def test_every_table_pair_yields_a_span(self, open_mark, close_mark):
+        text = f"He wrote {open_mark}all done{close_mark} today"
+        spans = extract_quote_spans(text)
+        assert [(text[s.start:s.end], s.open_mark, s.close_mark) for s in spans] == [
+            ("all done", open_mark, close_mark)
+        ]
+        assert open_mark[0] in OPENING_QUOTE_CHARS
 
     def test_two_spans(self):
         text = '"a" and "b"'
