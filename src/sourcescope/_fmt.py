@@ -1,9 +1,12 @@
-"""Shared percentage / rounding helpers.
+"""Shared output helpers: percentages, rounding, and whole-file writes.
 
 All printed percentages use round-half-away-from-zero to 2 decimals.
 """
 
+import os
+from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
 
 
 def pct(numerator: float, denominator: float) -> float:
@@ -19,3 +22,21 @@ def round2(x: float) -> float:
 
 def fmt2(x: float) -> str:
     return f"{Decimal(repr(float(x))).quantize(Decimal('0.01'), rounding=ROUND_HALF_UP):.2f}"
+
+
+@contextmanager
+def atomic_open(path):
+    """Open `path` for writing text that appears there only if the block completes.
+
+    The text goes to `.<name>.tmp` beside `path`, which replaces `path` when
+    the block ends and is removed when the block raises.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

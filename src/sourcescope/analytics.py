@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import json
 import re
+import time
 import urllib.error
 import urllib.request
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Optional, Protocol
 
-from sourcescope._fmt import fmt2, pct, round2
+from sourcescope._fmt import atomic_open, fmt2, pct, round2
 from sourcescope.corpus import Article, Corpus, MediaType
-from sourcescope.extractor import KIND_ORDER, ExtractionResult, Kind
+from sourcescope.extractor import KIND_ORDER, ExtractionResult
 from sourcescope.patterns import Platform
 
-# accumulator keys are plain value tuples: (media_type, year, topic-or-None)
+# accumulator keys are plain value tuples: (media_type, year, topic-or-None),
+# extended by (platform, kind) in mentions and by (platform,) in
+# platform_articles. Only accumulate and _grouped know the positions.
+_FIELDS = {"media": 0, "year": 1, "topic": 2, "platform": 3, "kind": 4}
 
 
 @dataclass
@@ -34,11 +40,7 @@ class StatsAccumulator:
 
     def merge(self, other: "StatsAccumulator") -> "StatsAccumulator":
         return StatsAccumulator(
-            article_count=self.article_count + other.article_count,
-            articles_with_mention=self.articles_with_mention + other.articles_with_mention,
-            direct_quotes=self.direct_quotes + other.direct_quotes,
-            platform_articles=self.platform_articles + other.platform_articles,
-            mentions=self.mentions + other.mentions,
+            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
         )
 
     def validate(self) -> None:
@@ -86,15 +88,28 @@ def accumulate(
     return acc
 
 
-def _sum_where(counter: Counter, media: Optional[str] = None, extra: tuple = ()) -> int:
-    total = 0
+def _grouped(counter: Counter, *by: str, **where) -> Counter:
+    """Sum the counts whose key fields equal `where`, grouped by the `by` fields.
+
+    Fields are named as in _FIELDS. A group is keyed by its one `by` value,
+    by the tuple of them for several, or by () for none (the total).
+    """
+    group_of = itemgetter(*(_FIELDS[name] for name in by)) if by else (lambda key: ())
+    tests = [(_FIELDS[name], value) for name, value in where.items()]
+    groups: dict = {}  # a plain dict sums faster than a Counter
     for key, count in counter.items():
-        if media is not None and key[0] != media:
-            continue
-        if extra and key[3:] != extra:
-            continue
-        total += count
-    return total
+        for at, value in tests:
+            if key[at] != value:
+                break
+        else:
+            group = group_of(key)
+            groups[group] = groups.get(group, 0) + count
+    return Counter(groups)
+
+
+def _media_filter(media: Optional[str]) -> dict:
+    """The `where` fields that select one media type, or every article for None."""
+    return {} if media is None else {"media": media}
 
 
 # --- media report (usage by media type and platform) ---
@@ -126,46 +141,40 @@ class MediaReport:
     overall: MediaRow
 
 
-def _media_row(acc: StatsAccumulator, media: Optional[str], label: str) -> MediaRow:
-    total_articles = _sum_where(acc.article_count, media)
-    with_mention = _sum_where(acc.articles_with_mention, media)
+def _media_row(acc: StatsAccumulator, media: Optional[str]) -> MediaRow:
+    """The row of one media type, or of the whole corpus for None."""
+    where = _media_filter(media)
+    total_articles = _grouped(acc.article_count, **where)[()]
+    with_mention = _grouped(acc.articles_with_mention, **where)[()]
+    mentions = _grouped(acc.mentions, "platform", "kind", **where)
+    platform_articles = _grouped(acc.platform_articles, "platform", **where)
 
-    platforms: dict = {}
-    total_sources = 0
-    for platform in Platform:
-        kinds = {
-            kind: _sum_where(acc.mentions, media, (platform.value, kind.value))
-            for kind in KIND_ORDER
-        }
-        platform_total = sum(kinds.values())
-        total_sources += platform_total
-        platforms[platform.value] = (kinds, platform_total)
-
-    rows: dict = {}
-    for platform in Platform:
-        kinds, platform_total = platforms[platform.value]
-        rows[platform.value] = PlatformStats(
-            articles=_sum_where(acc.platform_articles, media, (platform.value,)),
-            kinds=kinds,
-            kind_pct={kind: pct(count, platform_total) for kind, count in kinds.items()},
-            total=platform_total,
-            share_pct=pct(platform_total, total_sources),
-        )
-
+    kinds = {p.value: {kind: mentions[p.value, kind.value] for kind in KIND_ORDER} for p in Platform}
+    totals = {p: sum(counts.values()) for p, counts in kinds.items()}
+    total_sources = sum(totals.values())
     return MediaRow(
-        media_type=label,
+        media_type="all" if media is None else media,
         total_articles=total_articles,
         articles_with_mention=with_mention,
         articles_with_mention_pct=pct(with_mention, total_articles),
-        platforms=rows,
+        platforms={
+            p: PlatformStats(
+                articles=platform_articles[p],
+                kinds=counts,
+                kind_pct={kind: pct(count, totals[p]) for kind, count in counts.items()},
+                total=totals[p],
+                share_pct=pct(totals[p], total_sources),
+            )
+            for p, counts in kinds.items()
+        },
         total_sources=total_sources,
         sources_per_article=(total_sources / with_mention) if with_mention else 0.0,
     )
 
 
 def media_report(acc: StatsAccumulator) -> MediaReport:
-    rows = {mt.value: _media_row(acc, mt.value, mt.value) for mt in MediaType}
-    return MediaReport(rows=rows, overall=_media_row(acc, None, "all"))
+    rows = {mt.value: _media_row(acc, mt.value) for mt in MediaType}
+    return MediaReport(rows=rows, overall=_media_row(acc, None))
 
 
 # --- yearly trend ---
@@ -187,26 +196,21 @@ class TrendReport:
 
 
 def trend_report(acc: StatsAccumulator) -> TrendReport:
-    def rows_for(media: Optional[str], label: str) -> dict:
-        per_year: dict[int, TrendRow] = {}
-        years = sorted(
-            {key[1] for key in acc.article_count if media is None or key[0] == media}
-        )
-        for year in years:
-            count = sum(c for k, c in acc.article_count.items() if k[1] == year and (media is None or k[0] == media))
-            if count == 0:
-                continue
-            awm = sum(c for k, c in acc.articles_with_mention.items() if k[1] == year and (media is None or k[0] == media))
-            per_year[year] = TrendRow(year, label, count, awm, pct(awm, count))
-        return per_year
+    def rows_for(media: Optional[str]) -> list[TrendRow]:
+        where = _media_filter(media)
+        articles = _grouped(acc.article_count, "year", **where)
+        with_mention = _grouped(acc.articles_with_mention, "year", **where)
+        label = "all" if media is None else media
+        return [
+            TrendRow(year, label, count, with_mention[year], pct(with_mention[year], count))
+            for year, count in sorted(articles.items())
+            if count
+        ]
 
-    overall = rows_for(None, "all")
-    combined: list[TrendRow] = []
-    for media in [mt.value for mt in MediaType] + ["all"]:
-        rows = overall if media == "all" else rows_for(media, media)
-        combined.extend(rows[year] for year in sorted(rows))
-    combined.sort(key=lambda r: (r.year, r.media_type))
-    return TrendReport(rows=tuple(overall[y] for y in sorted(overall)), by_media=tuple(combined))
+    overall = rows_for(None)
+    by_media = overall + [row for mt in MediaType for row in rows_for(mt.value)]
+    by_media.sort(key=lambda r: (r.year, r.media_type))
+    return TrendReport(rows=tuple(overall), by_media=tuple(by_media))
 
 
 # --- direct quotes vs social-media sources ---
@@ -228,17 +232,18 @@ class RatioReport:
 
 
 def ratio_report(acc: StatsAccumulator) -> RatioReport:
+    quotes = _grouped(acc.direct_quotes, "media")
+    articles = _grouped(acc.article_count, "media")
+    sources = _grouped(acc.mentions, "media")
     rows: dict = {}
     for mt in MediaType:
-        quotes = _sum_where(acc.direct_quotes, mt.value)
-        articles = _sum_where(acc.article_count, mt.value)
-        sources = _sum_where(acc.mentions, mt.value)
-        ratio = (quotes / sources) if sources else None
-        rows[mt.value] = RatioRow(
-            media_type=mt.value,
-            direct_quote_total=quotes,
-            avg_quotes_per_article=(quotes / articles) if articles else 0.0,
-            sm_source_total=sources,
+        media = mt.value
+        ratio = (quotes[media] / sources[media]) if sources[media] else None
+        rows[media] = RatioRow(
+            media_type=media,
+            direct_quote_total=quotes[media],
+            avg_quotes_per_article=(quotes[media] / articles[media]) if articles[media] else 0.0,
+            sm_source_total=sources[media],
             ratio=ratio,
             ratio_label=f"1:{fmt2(ratio)}" if ratio is not None else "undefined",
         )
@@ -276,50 +281,36 @@ class TopicReport:
 def topic_report(acc: StatsAccumulator, k: int) -> TopicReport:
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def topic_counts(counter: Counter, media: str) -> Counter:
-        out: Counter = Counter()
-        for key, count in counter.items():
-            if key[0] == media and key[2] is not None:
-                out[key[2]] += count
-        return out
+    articles = _grouped(acc.article_count, "media", "topic")
+    with_mention = _grouped(acc.articles_with_mention, "media", "topic")
+    mentions = _grouped(acc.mentions, "media", "topic", "kind")
 
     top_rows: list[TopicRow] = []
-    union: set[str] = set()
     for mt in MediaType:
-        articles = topic_counts(acc.article_count, mt.value)
-        with_mention = topic_counts(acc.articles_with_mention, mt.value)
-        ranked = sorted(articles.items(), key=lambda item: (-item[1], item[0]))[:k]
-        for topic, count in ranked:
-            union.add(topic)
-            awm = with_mention.get(topic, 0)
+        labeled = [
+            (topic, count) for (media, topic), count in articles.items()
+            if media == mt.value and topic is not None
+        ]
+        for topic, count in sorted(labeled, key=lambda item: (-item[1], item[0]))[:k]:
+            awm = with_mention[mt.value, topic]
             top_rows.append(TopicRow(mt.value, topic, count, awm, pct(awm, count)))
+    union = tuple(sorted({row.topic for row in top_rows}))
 
     kind_rows: list[TopicKindRow] = []
-    for topic in sorted(union):
+    for topic in union:
         for mt in MediaType:
-            kinds = {kind: 0 for kind in KIND_ORDER}
-            for key, count in acc.mentions.items():
-                if key[0] == mt.value and key[2] == topic:
-                    kinds[Kind(key[4])] += count
+            kinds = {kind: mentions[mt.value, topic, kind.value] for kind in KIND_ORDER}
             total = sum(kinds.values())
-            awm = sum(
-                c for key, c in acc.articles_with_mention.items()
-                if key[0] == mt.value and key[2] == topic
-            )
             kind_rows.append(
                 TopicKindRow(
                     topic=topic,
                     media_type=mt.value,
-                    articles_with_mention=awm,
+                    articles_with_mention=with_mention[mt.value, topic],
                     kinds=kinds,
                     kind_pct={kind: pct(count, total) for kind, count in kinds.items()},
                 )
             )
-
-    return TopicReport(
-        top_rows=tuple(top_rows), union_topics=tuple(sorted(union)), kind_rows=tuple(kind_rows)
-    )
+    return TopicReport(top_rows=tuple(top_rows), union_topics=union, kind_rows=tuple(kind_rows))
 
 
 # --- topic labeling ---
@@ -388,6 +379,11 @@ class KeywordTopicLabeler:
         return best_topic
 
 
+# pause before the second attempt; each later pause doubles, up to the cap
+BACKOFF_FIRST_S = 0.5
+BACKOFF_MAX_S = 4.0
+
+
 class RemoteTopicLabeler:
     """HTTP client: POST the article text, the response body is the label."""
 
@@ -404,6 +400,8 @@ class RemoteTopicLabeler:
         last_error: Optional[Exception] = None
         attempt = 0
         for attempt in range(1, self.retries + 1):
+            if attempt > 1:
+                time.sleep(min(BACKOFF_FIRST_S * 2 ** (attempt - 2), BACKOFF_MAX_S))
             request = urllib.request.Request(
                 self.url, data=text.encode("utf-8"), headers=headers, method="POST"
             )
@@ -444,7 +442,7 @@ def write_media_csv(report: MediaReport, path) -> None:
             f"{p}_total", f"{p}_share_pct",
         ]
     columns += ["total_sources", "sources_per_article"]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(columns) + "\n")
         for row in list(report.rows.values()) + [report.overall]:
             cells = [
@@ -467,7 +465,7 @@ def write_media_csv(report: MediaReport, path) -> None:
 
 
 def write_ratio_csv(report: RatioReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("media_type,direct_quote_total,avg_quotes_per_article,sm_source_total,ratio\n")
         for row in report.rows.values():
             fh.write(
@@ -476,21 +474,26 @@ def write_ratio_csv(report: RatioReport, path) -> None:
             )
 
 
+def _quoted(text: str) -> str:
+    """A CSV cell that holds `text` whatever its commas and double quotes."""
+    return '"' + text.replace('"', '""') + '"'
+
+
 def write_topic_csvs(report: TopicReport, top_path, kinds_path) -> None:
-    with open(top_path, "w", encoding="utf-8") as fh:
+    with atomic_open(top_path) as fh:
         fh.write("media_type,topic,article_count,articles_with_mention,percentage\n")
         for row in report.top_rows:
             fh.write(
-                f"{row.media_type},\"{row.topic}\",{row.article_count},"
+                f"{row.media_type},{_quoted(row.topic)},{row.article_count},"
                 f"{row.articles_with_mention},{fmt2(row.percentage)}\n"
             )
-    with open(kinds_path, "w", encoding="utf-8") as fh:
+    with atomic_open(kinds_path) as fh:
         fh.write(
             "topic,media_type,articles_with_mention,"
             "quotation,quotation_pct,paraphrase,paraphrase_pct,embedding,embedding_pct\n"
         )
         for row in report.kind_rows:
-            cells = [f"\"{row.topic}\"", row.media_type, str(row.articles_with_mention)]
+            cells = [_quoted(row.topic), row.media_type, str(row.articles_with_mention)]
             for kind in KIND_ORDER:
                 cells.append(str(row.kinds[kind]))
                 cells.append(fmt2(row.kind_pct[kind]))
@@ -498,9 +501,21 @@ def write_topic_csvs(report: TopicReport, top_path, kinds_path) -> None:
 
 
 def write_trend_tsv(report: TrendReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for row in report.by_media:
             fh.write(f"{row.year}\t{row.media_type}\t{fmt2(row.percentage)}\n")
+
+
+def _plain(value):
+    """A report value as JSON data: dataclass fields and dict entries become
+    objects (enum keys by value), floats are rounded half-up to 2 decimals."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {(k.value if isinstance(k, Enum) else k): _plain(v) for k, v in value.items()}
+    if isinstance(value, float):
+        return round2(value)
+    return value
 
 
 def summary_object(
@@ -508,73 +523,29 @@ def summary_object(
 ) -> dict:
     """Machine-readable roll-up of all report tables, raw counts included."""
 
-    def platform_obj(stats: PlatformStats) -> dict:
-        return {
-            "articles": stats.articles,
-            "kinds": {kind.value: stats.kinds[kind] for kind in KIND_ORDER},
-            "kind_pct": {kind.value: round2(stats.kind_pct[kind]) for kind in KIND_ORDER},
-            "total": stats.total,
-            "share_pct": round2(stats.share_pct),
-        }
+    def keyed_row(row) -> dict:  # its media type is already the key
+        obj = _plain(row)
+        del obj["media_type"]
+        return obj
 
-    def media_obj(row: MediaRow) -> dict:
-        return {
-            "total_articles": row.total_articles,
-            "articles_with_mention": row.articles_with_mention,
-            "articles_with_mention_pct": round2(row.articles_with_mention_pct),
-            "platforms": {p: platform_obj(stats) for p, stats in row.platforms.items()},
-            "total_sources": row.total_sources,
-            "sources_per_article": round2(row.sources_per_article),
-        }
+    def ratio_obj(row: RatioRow) -> dict:
+        obj = keyed_row(row)
+        obj["ratio"] = obj.pop("ratio_label")
+        return obj
 
     return {
-        "media": {name: media_obj(row) for name, row in media.rows.items()},
-        "overall": media_obj(media.overall),
-        "trend": [
-            {
-                "year": row.year,
-                "media_type": row.media_type,
-                "article_count": row.article_count,
-                "articles_with_mention": row.articles_with_mention,
-                "percentage": round2(row.percentage),
-            }
-            for row in trend.by_media
-        ],
-        "ratio": {
-            name: {
-                "direct_quote_total": row.direct_quote_total,
-                "avg_quotes_per_article": round2(row.avg_quotes_per_article),
-                "sm_source_total": row.sm_source_total,
-                "ratio": row.ratio_label,
-            }
-            for name, row in ratio.rows.items()
-        },
+        "media": {name: keyed_row(row) for name, row in media.rows.items()},
+        "overall": keyed_row(media.overall),
+        "trend": [_plain(row) for row in trend.by_media],
+        "ratio": {name: ratio_obj(row) for name, row in ratio.rows.items()},
         "topics": {
-            "top": [
-                {
-                    "media_type": row.media_type,
-                    "topic": row.topic,
-                    "article_count": row.article_count,
-                    "articles_with_mention": row.articles_with_mention,
-                    "percentage": round2(row.percentage),
-                }
-                for row in topics.top_rows
-            ],
-            "kinds": [
-                {
-                    "topic": row.topic,
-                    "media_type": row.media_type,
-                    "articles_with_mention": row.articles_with_mention,
-                    "kinds": {kind.value: row.kinds[kind] for kind in KIND_ORDER},
-                    "kind_pct": {kind.value: round2(row.kind_pct[kind]) for kind in KIND_ORDER},
-                }
-                for row in topics.kind_rows
-            ],
+            "top": [_plain(row) for row in topics.top_rows],
+            "kinds": [_plain(row) for row in topics.kind_rows],
         },
     }
 
 
 def write_summary_json(summary: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(summary, fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")

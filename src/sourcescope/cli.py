@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from sourcescope import analytics, evaluator, extractor
+from sourcescope._fmt import atomic_open
 from sourcescope.corpus import Corpus, ingest, serialize, stratified_sample
 from sourcescope.patterns import PatternSet, default_patterns, load_patterns
 
@@ -69,7 +70,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     results = extractor.iter_extract(corpus, pattern_set, workers=args.parallel)
 
-    with open(out / "sentences.tsv", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "sentences.tsv") as fh:
         mention_count = extractor.write_mentions(
             _writing_sentences(corpus, results, fh), out / "mentions.jsonl"
         )

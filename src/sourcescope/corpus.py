@@ -9,6 +9,8 @@ from datetime import date
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
+from sourcescope._fmt import atomic_open
+
 
 class MediaType(str, Enum):
     MAINSTREAM = "mainstream"
@@ -176,7 +178,7 @@ def article_to_record(article: Article) -> dict:
 
 def serialize(corpus: Corpus, path: str) -> None:
     """Write the corpus back out, one JSON object per line, in corpus order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for article in corpus.articles:
             fh.write(json.dumps(article_to_record(article), ensure_ascii=False))
             fh.write("\n")

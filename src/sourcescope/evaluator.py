@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from sourcescope._fmt import fmt2, pct
+from sourcescope._fmt import atomic_open, fmt2, pct
 from sourcescope.extractor import KIND_ORDER, Kind, SourceMention
 from sourcescope.patterns import Platform
 
@@ -183,7 +183,7 @@ def f1_transposition_note(report: EvalReport) -> Optional[str]:
 
 def write_report_csv(report: EvalReport, path, note: Optional[str] = None) -> None:
     """CSV rows Quotation, Paraphrase, Embedding, Macro-average, Micro-average."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("category,precision,recall,f1\n")
         for kind in KIND_ORDER:
             row = report.per_kind[kind]

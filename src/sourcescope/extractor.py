@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
+from sourcescope._fmt import atomic_open
 from sourcescope.corpus import Article, Corpus
 from sourcescope.patterns import (
     PatternSet,
@@ -156,7 +157,7 @@ def mention_to_record(mention: SourceMention) -> dict:
 def write_mentions(results, path) -> int:
     """Write all mentions as line-delimited JSON; returns the mention count."""
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for result in results:
             for mention in result.mentions:
                 fh.write(json.dumps(mention_to_record(mention), ensure_ascii=False))

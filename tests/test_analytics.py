@@ -1,21 +1,34 @@
 import http.server
 import random
 import threading
+import time
 from datetime import date
 
 import pytest
 
 from conftest import random_corpus
 
+from sourcescope._fmt import fmt2, round2
 from sourcescope.analytics import (
     KeywordTopicLabeler,
     LabelerError,
+    MediaReport,
+    MediaRow,
+    PlatformStats,
+    RatioReport,
+    RatioRow,
     RemoteTopicLabeler,
     StatsAccumulator,
+    TopicKindRow,
+    TopicReport,
+    TopicRow,
+    TrendReport,
+    TrendRow,
     accumulate,
     label_topic,
     media_report,
     ratio_report,
+    summary_object,
     topic_report,
     trend_report,
     write_trend_tsv,
@@ -336,9 +349,16 @@ class TestLabelers:
         finally:
             server.shutdown()
 
-    @pytest.mark.parametrize("status, attempts", [(401, 1), (503, 3)])
-    def test_remote_labeler_retries_only_server_errors(self, status, attempts):
-        requests = []
+    @pytest.mark.parametrize(
+        "status, retries, attempts, sleeps",
+        [(401, 3, 1, []), (503, 3, 3, [0.5, 1.0]), (503, 6, 6, [0.5, 1.0, 2.0, 4.0, 4.0])],
+        ids=["401-1", "503-3", "503-6"],
+    )
+    def test_remote_labeler_retries_only_server_errors(
+        self, monkeypatch, status, retries, attempts, sleeps
+    ):
+        requests, slept = [], []
+        monkeypatch.setattr(time, "sleep", slept.append)
 
         class Handler(http.server.BaseHTTPRequestHandler):
             def do_POST(self):
@@ -353,7 +373,7 @@ class TestLabelers:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            labeler = RemoteTopicLabeler(f"http://127.0.0.1:{server.server_port}/label", retries=3)
+            labeler = RemoteTopicLabeler(f"http://127.0.0.1:{server.server_port}/label", retries=retries)
             with pytest.raises(LabelerError) as exc:
                 labeler.label("text")
         finally:
@@ -362,12 +382,204 @@ class TestLabelers:
         assert len(requests) == attempts
         assert exc.value.attempts == attempts
         assert str(status) in str(exc.value)
+        assert slept == sleeps
 
     def test_remote_labeler_failure_carries_attempts(self):
         labeler = RemoteTopicLabeler("http://127.0.0.1:1/label", retries=2, timeout=0.2)
         with pytest.raises(LabelerError) as exc:
             labeler.label("text")
         assert exc.value.attempts == 2
+
+
+def random_report_accumulator(rng):
+    """Counters over every key field: both media, 2013-2017, topics with None, all platforms and kinds."""
+    acc = StatsAccumulator()
+    topics = [None, "Politics", "Sports", "Health", "Law & Government", "Arts & Entertainment"]
+    for _ in range(rng.randint(0, 60)):
+        key = (rng.choice([M, U]), rng.randint(2013, 2017), rng.choice(topics))
+        acc.article_count[key] += rng.randint(1, 9)
+        acc.articles_with_mention[key] += rng.randint(0, 3)
+        acc.direct_quotes[key] += rng.randint(0, 20)
+        acc.platform_articles[key + (rng.choice([TW, FB]),)] += rng.randint(0, 3)
+        acc.mentions[key + (rng.choice([TW, FB]), rng.choice([Q, P, E]))] += rng.randint(1, 4)
+    return acc
+
+
+def brute_sum(counter, **where):
+    """Sum of the counts whose key fields equal `where`, found by scanning every key."""
+    at = {"media": 0, "year": 1, "topic": 2, "platform": 3, "kind": 4}
+    return sum(c for key, c in counter.items() if all(key[at[f]] == v for f, v in where.items()))
+
+
+def brute_pct(numerator, denominator):
+    return 100.0 * numerator / denominator if denominator else 0.0
+
+
+class TestReportsMatchBruteForce:
+    def expected_media_row(self, acc, media_type, **where):
+        with_mention = brute_sum(acc.articles_with_mention, **where)
+        total_articles = brute_sum(acc.article_count, **where)
+        kinds = {
+            p: {kind: brute_sum(acc.mentions, platform=p, kind=kind.value, **where) for kind in Kind}
+            for p in (TW, FB)
+        }
+        total_sources = sum(sum(k.values()) for k in kinds.values())
+        platforms = {
+            p: PlatformStats(
+                articles=brute_sum(acc.platform_articles, platform=p, **where),
+                kinds=kinds[p],
+                kind_pct={kind: brute_pct(n, sum(kinds[p].values())) for kind, n in kinds[p].items()},
+                total=sum(kinds[p].values()),
+                share_pct=brute_pct(sum(kinds[p].values()), total_sources),
+            )
+            for p in (TW, FB)
+        }
+        return MediaRow(
+            media_type=media_type,
+            total_articles=total_articles,
+            articles_with_mention=with_mention,
+            articles_with_mention_pct=brute_pct(with_mention, total_articles),
+            platforms=platforms,
+            total_sources=total_sources,
+            sources_per_article=total_sources / with_mention if with_mention else 0.0,
+        )
+
+    def expected_trend(self, acc):
+        rows = []
+        for media_type in (M, U, "all"):
+            where = {} if media_type == "all" else {"media": media_type}
+            for year in {key[1] for key in acc.article_count}:
+                count = brute_sum(acc.article_count, year=year, **where)
+                awm = brute_sum(acc.articles_with_mention, year=year, **where)
+                if count:
+                    rows.append(TrendRow(year, media_type, count, awm, brute_pct(awm, count)))
+        rows.sort(key=lambda r: (r.year, r.media_type))
+        return TrendReport(rows=tuple(r for r in rows if r.media_type == "all"), by_media=tuple(rows))
+
+    def expected_topics(self, acc, k):
+        top_rows = []
+        for media in (M, U):
+            topics = {key[2] for key in acc.article_count if key[0] == media and key[2] is not None}
+            counts = {t: brute_sum(acc.article_count, media=media, topic=t) for t in topics}
+            for topic in sorted(topics, key=lambda t: (-counts[t], t))[:k]:
+                awm = brute_sum(acc.articles_with_mention, media=media, topic=topic)
+                top_rows.append(TopicRow(media, topic, counts[topic], awm, brute_pct(awm, counts[topic])))
+        union = tuple(sorted({row.topic for row in top_rows}))
+        kind_rows = []
+        for topic in union:
+            for media in (M, U):
+                kinds = {kind: brute_sum(acc.mentions, media=media, topic=topic, kind=kind.value) for kind in Kind}
+                kind_rows.append(
+                    TopicKindRow(
+                        topic=topic,
+                        media_type=media,
+                        articles_with_mention=brute_sum(acc.articles_with_mention, media=media, topic=topic),
+                        kinds=kinds,
+                        kind_pct={kind: brute_pct(n, sum(kinds.values())) for kind, n in kinds.items()},
+                    )
+                )
+        return TopicReport(top_rows=tuple(top_rows), union_topics=union, kind_rows=tuple(kind_rows))
+
+    def expected_ratio(self, acc):
+        rows = {}
+        for media in (M, U):
+            quotes = brute_sum(acc.direct_quotes, media=media)
+            articles = brute_sum(acc.article_count, media=media)
+            sources = brute_sum(acc.mentions, media=media)
+            ratio = quotes / sources if sources else None
+            rows[media] = RatioRow(
+                media_type=media,
+                direct_quote_total=quotes,
+                avg_quotes_per_article=quotes / articles if articles else 0.0,
+                sm_source_total=sources,
+                ratio=ratio,
+                ratio_label=f"1:{fmt2(ratio)}" if sources else "undefined",
+            )
+        return RatioReport(rows=rows)
+
+    def test_every_cell_matches_a_brute_force_sum(self):
+        rng = random.Random(2024)
+        for _ in range(40):
+            acc = random_report_accumulator(rng)
+            k = rng.randint(1, 6)
+            assert media_report(acc) == MediaReport(
+                rows={m: self.expected_media_row(acc, m, media=m) for m in (M, U)},
+                overall=self.expected_media_row(acc, "all"),
+            )
+            assert trend_report(acc) == self.expected_trend(acc)
+            assert ratio_report(acc) == self.expected_ratio(acc)
+            assert topic_report(acc, k) == self.expected_topics(acc, k)
+
+
+class TestSummaryObject:
+    PLATFORM_KEYS = {"articles", "kinds", "kind_pct", "total", "share_pct"}
+    MEDIA_KEYS = {
+        "total_articles", "articles_with_mention", "articles_with_mention_pct",
+        "platforms", "total_sources", "sources_per_article",
+    }
+    TREND_KEYS = {"year", "media_type", "article_count", "articles_with_mention", "percentage"}
+    RATIO_KEYS = {"direct_quote_total", "avg_quotes_per_article", "sm_source_total", "ratio"}
+    TOP_KEYS = {"media_type", "topic", "article_count", "articles_with_mention", "percentage"}
+    KIND_ROW_KEYS = {"topic", "media_type", "articles_with_mention", "kinds", "kind_pct"}
+
+    def summary(self, acc):
+        media, ratio = media_report(acc), ratio_report(acc)
+        return summary_object(media, trend_report(acc), ratio, topic_report(acc, 5)), ratio
+
+    def floats(self, obj):
+        if isinstance(obj, dict):
+            for value in obj.values():
+                yield from self.floats(value)
+        elif isinstance(obj, list):
+            for value in obj:
+                yield from self.floats(value)
+        elif isinstance(obj, float):
+            yield obj
+
+    @pytest.mark.parametrize(
+        "make_acc", [paper_media_accumulator, trend_accumulator, paper_topic_accumulator],
+        ids=["media", "trend", "topic"],
+    )
+    def test_layout(self, make_acc):
+        summary, ratio = self.summary(make_acc())
+        assert set(summary) == {"media", "overall", "trend", "ratio", "topics"}
+        assert set(summary["media"]) == {M, U}
+        for row in list(summary["media"].values()) + [summary["overall"]]:
+            assert set(row) == self.MEDIA_KEYS
+            assert set(row["platforms"]) == {TW, FB}
+            for stats in row["platforms"].values():
+                assert set(stats) == self.PLATFORM_KEYS
+                assert set(stats["kinds"]) == set(stats["kind_pct"]) == {Q, P, E}
+        assert all(set(row) == self.TREND_KEYS for row in summary["trend"])
+        assert set(summary["ratio"]) == {M, U}
+        for name, row in summary["ratio"].items():
+            assert set(row) == self.RATIO_KEYS
+            assert row["ratio"] == ratio.rows[name].ratio_label
+        assert set(summary["topics"]) == {"top", "kinds"}
+        assert all(set(row) == self.TOP_KEYS for row in summary["topics"]["top"])
+        for row in summary["topics"]["kinds"]:
+            assert set(row) == self.KIND_ROW_KEYS
+            assert set(row["kinds"]) == set(row["kind_pct"]) == {Q, P, E}
+        assert all(x == round2(x) for x in self.floats(summary))
+
+    def test_published_values_rounded(self):
+        media, _ = self.summary(paper_media_accumulator())
+        assert media["overall"]["articles_with_mention_pct"] == 9.15
+        assert media["media"][M]["platforms"][TW]["kind_pct"][E] == 48.83
+        assert media["media"][M]["sources_per_article"] == 2.12
+        assert media["ratio"][M] == {
+            "direct_quote_total": 201924, "avg_quotes_per_article": 6.81,
+            "sm_source_total": 4207, "ratio": "1:48.00",
+        }
+        trend, _ = self.summary(trend_accumulator())
+        assert [(r["year"], r["media_type"], r["percentage"]) for r in trend["trend"]][:2] == [
+            (2013, "all", 3.85), (2013, M, 3.85),
+        ]
+        assert trend["ratio"][U]["ratio"] == "undefined"
+        topic, _ = self.summary(paper_topic_accumulator())
+        politics = next(r for r in topic["topics"]["kinds"] if r["media_type"] == U and r["topic"] == "Politics")
+        assert politics["kind_pct"] == {Q: 9.77, P: 9.52, E: 80.71}
+        assert politics["kinds"] == {Q: 665, P: 648, E: 5495}
 
 
 def test_validate_rejects_impossible_counts():

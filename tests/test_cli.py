@@ -186,6 +186,24 @@ class TestExtract:
             assert line.split("\t")[:2] == ["a1", str(index)]
             assert len(line.split("\t")) == 3
 
+    def test_interrupted_run_leaves_no_output_file(self, tmp_path, capsys, monkeypatch):
+        corpus_path = tmp_path / "corpus.jsonl"
+        serialize(random_corpus(random.Random(5), 40), corpus_path)
+        calls = Counter()
+        original = extractor.extract_mentions
+
+        def crashing(article, pattern_set):
+            calls["extract_mentions"] += 1
+            if calls["extract_mentions"] > 3:
+                raise RuntimeError("worker lost")
+            return original(article, pattern_set)
+
+        monkeypatch.setattr(extractor, "extract_mentions", crashing)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="worker lost"):
+            cli.main(["extract", "--corpus", str(corpus_path), "--out", str(out)])
+        assert sorted(path.name for path in out.iterdir()) == []
+
     def test_invalid_parallel(self, capsys):
         code, _, err = run(
             ["extract", "--corpus", str(GOLDEN_CORPUS), "--parallel", "0"], capsys
@@ -321,6 +339,22 @@ class TestAnalyze:
             rows = list(csv.reader(fh))
         width = len(rows[0])
         assert all(len(row) == width for row in rows)
+
+    def test_quotes_and_commas_in_topics_read_back_intact(self, tmp_path, capsys):
+        topics = ['Law "and" Order', "Sports, College"]
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_jsonl(
+            corpus_path,
+            [dict(GOOD_RECORD, id=f"a{i}", topic=topic) for i, topic in enumerate(topics)],
+        )
+        out = tmp_path / "out"
+        code, _, _ = run(["analyze", "--corpus", str(corpus_path), "--out", str(out)], capsys)
+        assert code == cli.EXIT_OK
+        for name in ("topics_top.csv", "topic_kinds.csv"):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows and {row["topic"] for row in rows} == set(topics)
+            assert all(None not in row for row in rows)  # no cell beyond the header's columns
 
     def test_remote_labeler_failure_exit_code(self, tmp_path, capsys):
         code, _, err = run(
