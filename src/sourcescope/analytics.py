@@ -57,15 +57,16 @@ def accumulate(
     """Fold extraction results into counters.
 
     An article with any mention increments articles_with_mention exactly
-    once. `topics` optionally overrides per-article topic labels. Every
-    article of the corpus is counted, so accumulators over disjoint corpus
-    shards merge into the accumulator of their union.
+    once. `topics` optionally overrides per-article topic labels; an empty
+    topic counts as unlabeled. Every article of the corpus is counted, so
+    accumulators over disjoint corpus shards merge into the accumulator of
+    their union.
     """
     index = corpus.by_id()
 
     def key_of(article: Article) -> tuple:
         topic = topics.get(article.id, article.topic) if topics else article.topic
-        return (article.media_type.value, article.published_at.year, topic)
+        return (article.media_type.value, article.published_at.year, topic or None)
 
     acc = StatsAccumulator()
     for article in corpus.articles:
@@ -360,23 +361,34 @@ TOPIC_KEYWORDS = {
     ),
 }
 
-_KEYWORD_RE = {
-    topic: tuple(re.compile(r"(?<!\w)" + re.escape(kw) + r"(?!\w)", re.IGNORECASE) for kw in kws)
-    for topic, kws in TOPIC_KEYWORDS.items()
-}
+# A keyword hits where a maximal \w run equals it under re.IGNORECASE. An
+# ASCII word is compared lower-cased; a non-ASCII one goes through the regex
+# engine, whose case folding also maps ı, İ, ſ and the Kelvin sign onto ASCII
+# letters where str.lower() does not.
+_KEYWORD_TOPIC = {kw: topic for topic, kws in TOPIC_KEYWORDS.items() for kw in kws}
+_KEYWORDS = tuple(_KEYWORD_TOPIC)
+_WORD_RE = re.compile(r"\w+")
+_FOLDED_KEYWORD_RE = re.compile(
+    "|".join(f"({re.escape(kw)})" for kw in _KEYWORDS), re.IGNORECASE
+)
 
 
 class KeywordTopicLabeler:
     """Offline fallback: most distinct keyword hits wins, ties lexicographic."""
 
     def label(self, text: str) -> Optional[str]:
-        best_topic = None
-        best_hits = 0
-        for topic in sorted(_KEYWORD_RE):
-            hits = sum(1 for rx in _KEYWORD_RE[topic] if rx.search(text))
-            if hits > best_hits:
-                best_topic, best_hits = topic, hits
-        return best_topic
+        hits = set()
+        for word in set(_WORD_RE.findall(text)):
+            if word.isascii():
+                word = word.lower()
+                if word in _KEYWORD_TOPIC:
+                    hits.add(word)
+            else:
+                match = _FOLDED_KEYWORD_RE.fullmatch(word)
+                if match:
+                    hits.add(_KEYWORDS[match.lastindex - 1])
+        counts = Counter(_KEYWORD_TOPIC[kw] for kw in hits)
+        return max(sorted(counts), key=counts.__getitem__, default=None)
 
 
 # pause before the second attempt; each later pause doubles, up to the cap

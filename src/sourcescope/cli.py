@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -212,8 +213,26 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised where the process is, so that no `except Exception` stops it."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
 def entry() -> None:
-    raise SystemExit(main())
+    """Run main(); on SIGTERM, unwind first (temporary files go, the pool shuts
+    down), then die of SIGTERM as the default handler would have."""
+    signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        raise SystemExit(main())
+    except _Terminated:
+        pass
+    # leaving the except block released the traceback, and with it every frame
+    # of the run, so a suspended extraction generator has shut its pool down
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    os.kill(os.getpid(), signal.SIGTERM)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -117,6 +118,7 @@ _worker_pattern_set: Optional[PatternSet] = None
 
 def _init_worker(pattern_set: PatternSet) -> None:
     global _worker_pattern_set
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the parent's unwinding handler
     _worker_pattern_set = pattern_set
 
 

@@ -1,7 +1,9 @@
 import http.server
 import random
+import re
 import threading
 import time
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -10,6 +12,7 @@ from conftest import random_corpus
 
 from sourcescope._fmt import fmt2, round2
 from sourcescope.analytics import (
+    TOPIC_KEYWORDS,
     KeywordTopicLabeler,
     LabelerError,
     MediaReport,
@@ -389,6 +392,89 @@ class TestLabelers:
         with pytest.raises(LabelerError) as exc:
             labeler.label("text")
         assert exc.value.attempts == 2
+
+
+# one regex search per keyword, the direct reading of the labeling rule: the oracle
+_ORACLE_KEYWORD_RE = {
+    topic: tuple(re.compile(r"(?<!\w)" + re.escape(kw) + r"(?!\w)", re.IGNORECASE) for kw in kws)
+    for topic, kws in TOPIC_KEYWORDS.items()
+}
+
+
+def oracle_label(text):
+    best_topic, best_hits = None, 0
+    for topic in sorted(_ORACLE_KEYWORD_RE):
+        hits = sum(1 for rx in _ORACLE_KEYWORD_RE[topic] if rx.search(text))
+        if hits > best_hits:
+            best_topic, best_hits = topic, hits
+    return best_topic
+
+
+_ALL_KEYWORDS = [kw for kws in TOPIC_KEYWORDS.values() for kw in kws]
+# letters that re.IGNORECASE folds onto an ASCII keyword letter but str.lower() does not
+# (except the Kelvin sign, which lower() maps to "k")
+_CASE_VARIANTS = {"i": "ıİ", "s": "ſ", "k": "\u212a"}
+# word characters glue a neighbour onto the keyword; the rest leave it a word
+_NEIGHBOURS = ("", " ", ".", ",", "-", "\n", "\u201c", "'", "_", "7", "é")
+
+
+def random_keyword_text(rng):
+    parts = []
+    for _ in range(rng.randint(0, 8)):
+        keyword = "".join(
+            rng.choice(c + c.upper() + _CASE_VARIANTS.get(c, "")) if rng.random() < 0.3 else c
+            for c in rng.choice(_ALL_KEYWORDS)
+        )
+        parts.append(rng.choice(_NEIGHBOURS) + keyword + rng.choice(_NEIGHBOURS))
+    return "".join(parts)
+
+
+class TestKeywordLabeler:
+    def test_matches_per_keyword_regex_oracle(self):
+        rng = random.Random(2024)
+        labeler = KeywordTopicLabeler()
+        labels = Counter()
+        for _ in range(4000):
+            text = random_keyword_text(rng)
+            label = labeler.label(text)
+            assert label == oracle_label(text), repr(text)
+            labels[label, text.isascii()] += 1
+        # every topic and no topic came up, from ASCII and from non-ASCII texts
+        for topic in list(TOPIC_KEYWORDS) + [None]:
+            assert labels[topic, True] and labels[topic, False], topic
+
+    def test_matches_oracle_on_corpus_texts(self):
+        corpus = random_corpus(random.Random(8), 200)
+        labeler = KeywordTopicLabeler()
+        for art in corpus.articles:
+            text = art.headline + "\n" + art.body
+            assert labeler.label(text) == oracle_label(text)
+
+    @pytest.mark.parametrize(
+        "text, topic",
+        [
+            ("The film went to court.", "Arts & Entertainment"),
+            ("The court saw the film.", "Arts & Entertainment"),
+            ("virus, Virus and VIRUS; then the election and the vote", "Politics"),
+            ("filmé", None),
+            ("film_", None),
+            ("_film 2film film2", None),
+            ("VIRUS", "Health"),
+            ("v\u0131rus", "Health"),
+            ("V\u0130RUS", "Health"),
+            ("\u017fenator", "Politics"),
+            ("quarterbac\u212a", "Sports"),
+            ("", None),
+        ],
+        ids=[
+            "tie-lexicographic", "tie-lexicographic-reversed", "repeated-keyword-counts-once",
+            "letter-after", "underscore-after", "underscore-and-digits", "upper-case",
+            "dotless-i", "dotted-capital-i", "long-s", "kelvin-sign", "empty",
+        ],
+    )
+    def test_label(self, text, topic):
+        assert KeywordTopicLabeler().label(text) == topic
+        assert oracle_label(text) == topic
 
 
 def random_report_accumulator(rng):

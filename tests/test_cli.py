@@ -2,8 +2,14 @@
 
 import csv
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +40,36 @@ GOOD_RECORD = {
     "headline": "Quiet day",
     "body": "She tweeted that the plan was ready.",
 }
+
+
+def _alive(pid) -> bool:
+    """Whether `pid` is a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+def _live_children(parent) -> list:
+    children = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:
+                continue
+            state, ppid = stat[stat.rindex(")") + 2:].split()[:2]
+            if int(ppid) == parent and state != "Z":
+                children.append(int(entry.name))
+    return children
+
+
+def _kill_quietly(pid) -> None:
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except OSError:
+        pass
 
 
 class TestIngest:
@@ -204,6 +240,40 @@ class TestExtract:
             cli.main(["extract", "--corpus", str(corpus_path), "--out", str(out)])
         assert sorted(path.name for path in out.iterdir()) == []
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process parents from /proc")
+    def test_sigterm_removes_temporary_files_and_stops_workers(self, tmp_path):
+        corpus_path = tmp_path / "corpus.jsonl"
+        serialize(random_corpus(random.Random(6), 20000), corpus_path)
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sourcescope.cli", "extract", "--corpus", str(corpus_path),
+             "--out", str(out), "--parallel", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        workers: list = []
+        try:
+            deadline = time.monotonic() + 60
+            while proc.poll() is None and time.monotonic() < deadline:
+                workers = _live_children(proc.pid)
+                if len(workers) == 2 and out.is_dir() and any(out.glob(".*.tmp")):
+                    proc.send_signal(signal.SIGTERM)
+                    break
+                time.sleep(0.01)
+            proc.wait(timeout=30)
+        finally:
+            for pid in _live_children(proc.pid) + workers:
+                _kill_quietly(pid)
+            proc.kill()
+            proc.wait()
+        if proc.returncode == cli.EXIT_OK:  # finished before the signal could be sent
+            assert sorted(path.name for path in out.iterdir()) == ["mentions.jsonl", "sentences.tsv"]
+            assert len((out / "sentences.tsv").read_text(encoding="utf-8").splitlines()) > 20000
+            return
+        assert proc.returncode == -signal.SIGTERM
+        assert sorted(path.name for path in out.iterdir()) == []
+        assert workers and not [pid for pid in workers if _alive(pid)]
+
     def test_invalid_parallel(self, capsys):
         code, _, err = run(
             ["extract", "--corpus", str(GOLDEN_CORPUS), "--parallel", "0"], capsys
@@ -355,6 +425,31 @@ class TestAnalyze:
                 rows = list(csv.DictReader(fh))
             assert rows and {row["topic"] for row in rows} == set(topics)
             assert all(None not in row for row in rows)  # no cell beyond the header's columns
+
+    @pytest.mark.parametrize("labeler", ["preset", "keyword"])
+    def test_empty_topic_is_unlabeled(self, tmp_path, capsys, labeler):
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_jsonl(
+            corpus_path,
+            [
+                dict(GOOD_RECORD, id="a1", topic="Sports"),
+                dict(GOOD_RECORD, id="a2", topic="Sports"),
+                dict(GOOD_RECORD, id="a3", topic="", body="The senate vote is today."),
+                dict(GOOD_RECORD, id="a4", topic=""),
+            ],
+        )
+        out = tmp_path / "out"
+        code, _, _ = run(
+            ["analyze", "--corpus", str(corpus_path), "--out", str(out), "--labeler", labeler],
+            capsys,
+        )
+        assert code == cli.EXIT_OK
+        with open(out / "topics_top.csv", newline="", encoding="utf-8") as fh:
+            rows = {row["topic"]: row["article_count"] for row in csv.DictReader(fh)}
+        expected = {"Sports": "2", "Politics": "1"} if labeler == "keyword" else {"Sports": "2"}
+        assert rows == expected
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["overall"]["total_articles"] == 4
 
     def test_remote_labeler_failure_exit_code(self, tmp_path, capsys):
         code, _, err = run(
