@@ -52,31 +52,22 @@ class StatsAccumulator:
 def accumulate(
     results: Iterable[ExtractionResult],
     corpus: Corpus,
-    topics: Optional[dict] = None,
+    labeler: Optional[TopicLabeler] = None,
 ) -> StatsAccumulator:
-    """Fold extraction results into counters.
+    """Fold extraction results, one per article in corpus order, into counters.
 
-    An article with any mention increments articles_with_mention exactly
-    once. `topics` optionally overrides per-article topic labels; an empty
-    topic counts as unlabeled. Every article of the corpus is counted, so
-    accumulators over disjoint corpus shards merge into the accumulator of
-    their union.
+    Each article is labeled once, by label_topic, as its result arrives; an
+    empty topic counts as unlabeled. An article with any mention increments
+    articles_with_mention exactly once. Every article of the corpus is
+    counted, so accumulators over disjoint corpus shards merge into the
+    accumulator of their union.
     """
-    index = corpus.by_id()
-
-    def key_of(article: Article) -> tuple:
-        topic = topics.get(article.id, article.topic) if topics else article.topic
-        return (article.media_type.value, article.published_at.year, topic or None)
-
     acc = StatsAccumulator()
-    for article in corpus.articles:
-        acc.article_count[key_of(article)] += 1
-
-    for result in results:
-        article = index.get(result.article_id)
-        if article is None:
-            raise ValueError(f"unknown article id {result.article_id!r}")
-        key = key_of(article)
+    for article, result in zip(corpus.articles, results, strict=True):
+        if result.article_id != article.id:
+            raise ValueError(f"result for article {result.article_id!r} where {article.id!r} was due")
+        key = (article.media_type.value, article.published_at.year, label_topic(article, labeler) or None)
+        acc.article_count[key] += 1
         acc.direct_quotes[key] += result.direct_quote_count
         if result.mentions:
             acc.articles_with_mention[key] += 1
@@ -325,8 +316,11 @@ class LabelerError(RuntimeError):
     """Remote labeler failure after the configured number of attempts."""
 
     def __init__(self, message: str, attempts: int):
-        super().__init__(f"{message} (after {attempts} attempts)")
+        super().__init__(message, attempts)  # both, so that the error unpickles
         self.attempts = attempts
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (after {self.attempts} attempts)"
 
 
 # offline fallback over the seven analyzed topics

@@ -6,6 +6,7 @@ import argparse
 import os
 import signal
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from sourcescope import analytics, evaluator, extractor
@@ -110,13 +111,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     corpus = ingest(args.corpus, fail_fast=args.fail_fast)
     pattern_set = _load_patterns(args.patterns)
     out = _out_dir(args.out)
-
-    topics = None
-    if labeler is not None:
-        topics = {a.id: analytics.label_topic(a, labeler) for a in corpus.articles}
-
-    results = extractor.iter_extract(corpus, pattern_set, workers=args.parallel)
-    acc = analytics.accumulate(results, corpus, topics=topics)
+    # a labeler failure stops the extraction at once: closing it cancels the pending work
+    with closing(extractor.iter_extract(corpus, pattern_set, workers=args.parallel)) as results:
+        acc = analytics.accumulate(results, corpus, labeler)
     media = analytics.media_report(acc)
     trend = analytics.trend_report(acc)
     ratio = analytics.ratio_report(acc)

@@ -104,7 +104,6 @@ def extract_mentions(article: Article, pattern_set: PatternSet) -> ExtractionRes
                     span_end=end,
                 )
             )
-    mentions.sort(key=lambda m: (m.sentence_index, m.platform.value))
     return ExtractionResult(
         article_id=article.id,
         mentions=tuple(mentions),

@@ -91,12 +91,6 @@ class PatternSet:
     def __len__(self) -> int:
         return len(self.patterns)
 
-    def __getstate__(self):
-        return (self.patterns, self.version)
-
-    def __setstate__(self, state):
-        self.__init__(state[0], state[1])
-
 
 def load_patterns(path) -> PatternSet:
     """Load a UTF-8 TSV pattern file.

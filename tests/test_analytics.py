@@ -1,4 +1,5 @@
 import http.server
+import pickle
 import random
 import re
 import threading
@@ -65,6 +66,18 @@ def twitter_mention(article_id, sent, kind):
     return SourceMention(article_id, sent, Platform.TWITTER, kind, None if kind == Kind.EMBEDDING else "p", 0, 1)
 
 
+class CountingLabeler:
+    """Labels every text with one topic and keeps the texts it was asked about."""
+
+    def __init__(self, topic):
+        self.topic = topic
+        self.texts = []
+
+    def label(self, text):
+        self.texts.append(text)
+        return self.topic
+
+
 class TestAccumulate:
     def test_no_results_all_zero(self):
         corpus = Corpus(articles=(), source_path="mem")
@@ -85,6 +98,16 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="zz"):
             accumulate([result("zz")], corpus)
 
+    def test_result_out_of_corpus_order_errors(self):
+        corpus = Corpus(articles=(article(1), article(2)), source_path="mem")
+        with pytest.raises(ValueError, match="'a2'.*'a1'"):
+            accumulate([result("a2"), result("a1")], corpus)
+
+    def test_fewer_results_than_articles_errors(self):
+        corpus = Corpus(articles=(article(1), article(2)), source_path="mem")
+        with pytest.raises(ValueError):
+            accumulate([result("a1")], corpus)
+
     def test_partial_streams_merge_equals_single_pass(self):
         articles = tuple(article(i) for i in range(6))
         results = [
@@ -97,8 +120,16 @@ class TestAccumulate:
 
     def test_topics_override(self):
         corpus = Corpus(articles=(article(1),), source_path="mem")
-        acc = accumulate([result("a1")], corpus, topics={"a1": "Sports"})
+        acc = accumulate([result("a1")], corpus, CountingLabeler("Sports"))
         assert acc.article_count[(M, 2015, "Sports")] == 1
+
+    def test_labeler_called_once_per_article_without_a_topic(self):
+        topics = (None, "Health", None, "")
+        articles = tuple(article(i, topic=topic, body=f"b{i}") for i, topic in enumerate(topics))
+        labeler = CountingLabeler("Sports")
+        acc = accumulate([result(a.id) for a in articles], Corpus(articles=articles, source_path="mem"), labeler)
+        assert labeler.texts == ["h\nb0", "h\nb2", "h\nb3"]
+        assert acc.article_count == Counter({(M, 2015, "Sports"): 3, (M, 2015, "Health"): 1})
 
 
 class TestMergeProperties:
@@ -392,6 +423,12 @@ class TestLabelers:
         with pytest.raises(LabelerError) as exc:
             labeler.label("text")
         assert exc.value.attempts == 2
+
+    def test_labeler_error_survives_pickling(self):
+        error = LabelerError("remote labeler failed", 2)
+        copy = pickle.loads(pickle.dumps(error))
+        assert str(copy) == str(error) == "remote labeler failed (after 2 attempts)"
+        assert copy.attempts == 2
 
 
 # one regex search per keyword, the direct reading of the labeling rule: the oracle

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -451,23 +452,30 @@ class TestAnalyze:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["overall"]["total_articles"] == 4
 
-    def test_remote_labeler_failure_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_remote_labeler_failure_exit_code(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        children = set(multiprocessing.active_children())
         code, _, err = run(
             [
                 "analyze",
                 "--corpus",
                 str(GOLDEN_CORPUS),
                 "--out",
-                str(tmp_path / "out"),
+                str(out),
                 "--labeler",
                 "remote",
                 "--labeler-url",
                 "http://127.0.0.1:1/label",
+                "--parallel",
+                workers,
             ],
             capsys,
         )
         assert code == cli.EXIT_LABELER
         assert err.startswith("error:")
+        assert list(out.iterdir()) == []
+        assert set(multiprocessing.active_children()) <= children  # the pool has shut down
 
     def test_remote_requires_url(self, tmp_path, capsys):
         code, _, err = run(
