@@ -50,9 +50,26 @@ def _compile_phrase(phrase: str, anchored: str) -> re.Pattern:
     return re.compile(left + body + right, re.IGNORECASE)
 
 
-def _needle(phrase: str) -> str:
-    # cheapest prescreen literal: the longest word of the phrase
-    return max(phrase.split(), key=len)
+# a phrase is filed under the first of these it contains
+_PLATFORM_WORDS = ("facebook", "twitter", "tweet")
+# the only characters that re.IGNORECASE matches to an ASCII letter while
+# str.lower() does not lower them to it; a sentence holding one skips the prescreen
+_UNLOWERED_FOLDS = frozenset("İıſ")
+
+
+def _prescreen_words(phrase: str) -> tuple[str, frozenset[str]]:
+    """The phrase's group key and the words a sentence must contain for it to match.
+
+    Only ASCII words are required: re.IGNORECASE can match a non-ASCII
+    letter to one that str.lower() leaves apart (µ and μ). A phrase without
+    a platform word is filed under its longest such word, and under "",
+    which every sentence contains, when it has none.
+    """
+    words = tuple(word for word in phrase.split() if word.isascii())
+    key = next((w for w in _PLATFORM_WORDS if w in phrase), None)
+    if key is None:
+        key = max(words, key=len, default="")
+    return key, frozenset(words)
 
 
 class PatternSet:
@@ -80,10 +97,13 @@ class PatternSet:
 
         self.patterns = pats
         self.version = version
-        self._by_needle: dict[str, list] = {}
+        # group key -> (words of all its phrases, [(pattern, its words, regex)])
+        self._groups: dict[str, tuple[set[str], list]] = {}
         for pat in pats:
-            entry = (pat, _compile_phrase(pat.phrase, pat.anchored))
-            self._by_needle.setdefault(_needle(pat.phrase), []).append(entry)
+            key, words = _prescreen_words(pat.phrase)
+            group_words, entries = self._groups.setdefault(key, (set(), []))
+            group_words.update(words)
+            entries.append((pat, words, _compile_phrase(pat.phrase, pat.anchored)))
 
     def count(self, platform: Platform) -> int:
         return sum(1 for p in self.patterns if p.platform == platform)
@@ -151,14 +171,23 @@ def default_patterns() -> PatternSet:
 def match_patterns(sentence: str, pattern_set: PatternSet) -> list[PatternHit]:
     """All case-insensitive, word-boundary phrase occurrences, ordered by start.
 
-    Overlapping hits from different patterns are all reported.
+    Overlapping hits from different patterns are all reported. A phrase's
+    regex runs only when each of its prescreen words occurs in the
+    lower-cased sentence, or when the sentence holds 'İ', 'ı' or 'ſ'.
     """
+    screened = _UNLOWERED_FOLDS.isdisjoint(sentence)
     lowered = sentence.lower()
     hits: list[PatternHit] = []
-    for needle, entries in pattern_set._by_needle.items():
-        if needle not in lowered:
+    for key, (group_words, entries) in pattern_set._groups.items():
+        if not screened:
+            present = group_words
+        elif key in lowered:
+            present = {word for word in group_words if word in lowered}
+        else:
             continue
-        for pat, rx in entries:
+        for pat, words, rx in entries:
+            if not words <= present:
+                continue
             for m in rx.finditer(sentence):
                 hits.append(PatternHit(pat.id, pat.platform, m.start(), m.end()))
     hits.sort(key=lambda h: (h.start, h.end, h.pattern_id))

@@ -1,6 +1,8 @@
 import random
 from datetime import date
 
+import pytest
+
 from conftest import random_corpus
 
 from sourcescope.corpus import Article, MediaType
@@ -13,7 +15,7 @@ from sourcescope.extractor import (
     extract_mentions,
     mention_to_record,
 )
-from sourcescope.patterns import Platform, contains_quote_signs, find_embedding_span
+from sourcescope.patterns import Platform, contains_quote_signs, find_embedding_span, match_patterns
 from sourcescope.segmenter import segment
 
 
@@ -28,40 +30,50 @@ def article(body, i=0):
     )
 
 
-# --- independent reference: brute-force phrase scan at every position ---
+# --- independent reference: brute-force phrase walk from every occurrence of its first word ---
+
+
+# characters that re.IGNORECASE matches to an ASCII letter and str.lower() does not
+# lower to it ('İ'.lower() is two characters; 'ı' and 'ſ' lower to themselves)
+_IGNORECASE_FOLDS = {"İ": "i", "ı": "i", "ſ": "s"}
 
 
 def naive_phrase_hits(sentence, pattern_set):
-    lowered = sentence.lower()
+    # one character per character of the sentence ('İ' is the only one whose lower()
+    # is longer), so offsets stay aligned; c matches phrase letter p iff folded c == p
+    folded = "".join(_IGNORECASE_FOLDS.get(c, c.lower()) for c in sentence)
     hits = []
     for pat in pattern_set.patterns:
         phrase = pat.phrase
-        for start in range(len(sentence)):
-            i, j = start, 0
+        first_word = phrase.partition(" ")[0]
+        start = folded.find(first_word)
+        while start >= 0:
+            # the first word matched at start; walk the rest of the phrase
+            i, j = start + len(first_word), len(first_word)
             ok = True
             while j < len(phrase):
                 if phrase[j] == " ":
-                    if i >= len(lowered) or not lowered[i].isspace():
+                    if i >= len(sentence) or not sentence[i].isspace():
                         ok = False
                         break
-                    while i < len(lowered) and lowered[i].isspace():
+                    while i < len(sentence) and sentence[i].isspace():
                         i += 1
                     j += 1
                 else:
-                    if i >= len(lowered) or lowered[i] != phrase[j]:
+                    if i >= len(sentence) or folded[i] != phrase[j]:
                         ok = False
                         break
                     i += 1
                     j += 1
-            if not ok:
-                continue
             before = sentence[start - 1] if start > 0 else ""
             after = sentence[i] if i < len(sentence) else ""
-            if before and (before.isalnum() or before == "_"):
-                continue
-            if pat.anchored == "both" and after and (after.isalnum() or after == "_"):
-                continue
-            hits.append((pat.id, pat.platform, start, i))
+            if (
+                ok
+                and not (before and (before.isalnum() or before == "_"))
+                and not (pat.anchored == "both" and after and (after.isalnum() or after == "_"))
+            ):
+                hits.append((pat.id, pat.platform, start, i))
+            start = folded.find(first_word, start + 1)
     hits.sort(key=lambda h: (h[2], h[3], h[0]))
     return hits
 
@@ -85,6 +97,65 @@ def naive_extract(art, pattern_set):
             mentions.append(SourceMention(art.id, span.index, platform, kind, pid, start, end))
     mentions.sort(key=lambda m: (m.sentence_index, m.platform.value))
     return tuple(mentions)
+
+
+def fuzz_sentence(rng, phrases, words, fold):
+    """Phrase and stray phrase words in random case, spacing and neighbours.
+
+    With fold, letters may become 'İ'/'ı' (i), 'ſ' (s) or the Kelvin sign (k).
+    """
+    tokens = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.6:
+            chunk = rng.choice(phrases).split()
+            if len(chunk) > 1 and rng.random() < 0.2:
+                del chunk[rng.randrange(len(chunk))]
+        else:
+            chunk = [rng.choice(words) for _ in range(rng.randint(1, 3))]
+        tokens.extend(chunk)
+    out = []
+    for k, word in enumerate(tokens):
+        if k:
+            out.append(rng.choice((" ", " ", "  ", "\n", " \n\t", "\t", "")))
+        if rng.random() < 0.15:
+            out.append(rng.choice("x_7é.,(\"'-"))
+        for c in word:
+            if rng.random() < 0.4:
+                c = c.upper()
+            if fold and rng.random() < 0.2:
+                c = {"i": rng.choice("İı"), "s": "ſ", "k": "\u212a"}.get(c.lower(), c)
+            out.append(c)
+        if rng.random() < 0.15:
+            out.append(rng.choice("x_7é.,)\"'-!"))
+    return "".join(out)
+
+
+class TestPhraseOracle:
+    @pytest.mark.parametrize(
+        "sentence, expected",
+        [("İ wrote on Facebook today.", [("fb-002", 2, 19)]), ("She poſted on Facebook.", [("fb-001", 4, 22)])],
+    )
+    def test_fold_characters(self, pattern_set, sentence, expected):
+        hits = [(h.pattern_id, h.start, h.end) for h in match_patterns(sentence, pattern_set)]
+        assert hits == expected
+        assert [(pid, start, end) for pid, _, start, end in naive_phrase_hits(sentence, pattern_set)] == expected
+
+    def test_matcher_equals_oracle_property(self, pattern_set):
+        rng = random.Random(77)
+        phrases = [p.phrase for p in pattern_set.patterns]
+        words = sorted({w for phrase in phrases for w in phrase.split()})
+        hits_by_kind = {"fold": 0, "kelvin": 0, "plain": 0}
+        for n in range(20000):
+            sentence = fuzz_sentence(rng, phrases, words, fold=n % 2 == 1)
+            hits = [(h.pattern_id, h.platform, h.start, h.end) for h in match_patterns(sentence, pattern_set)]
+            assert hits == naive_phrase_hits(sentence, pattern_set), sentence
+            if any(c in sentence for c in "İıſ"):
+                hits_by_kind["fold"] += len(hits)
+            elif "\u212a" in sentence:
+                hits_by_kind["kelvin"] += len(hits)
+            else:
+                hits_by_kind["plain"] += len(hits)
+        assert all(hits_by_kind.values()), hits_by_kind
 
 
 class TestClassifySentence:

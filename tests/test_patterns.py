@@ -132,6 +132,21 @@ class TestMatchPatterns:
         assert any(" ".join(s[h.start:h.end].lower().split()) == "took to twitter" for h in hits)
 
 
+    @pytest.mark.parametrize(
+        "phrase, sentence, expected",
+        [
+            # no platform word: filed under its longest word, matched across a whitespace run
+            ("said in a statement", "He said in  a\nstatement today.", [("tw-001", 3, 23)]),
+            # IGNORECASE matches the micro sign to 'μ', which lower() keeps apart
+            ("sent 5 μs later", "It sent 5 µs later.", [("tw-001", 3, 18)]),
+            ("μήνυμα", "Ένα µήνυμα.", [("tw-001", 4, 10)]),
+        ],
+    )
+    def test_custom_phrase_without_platform_word(self, tmp_path, phrase, sentence, expected):
+        ps = load_patterns(write_tsv(tmp_path / "p.tsv", [f"twitter\t{phrase}", "facebook\tposted on facebook"]))
+        assert [(h.pattern_id, h.start, h.end) for h in match_patterns(sentence, ps)] == expected
+
+
 class TestDetectEmbedding:
     def test_attribution_line(self):
         assert find_embedding_span("— Donald J. Trump (@realDonaldTrump) July 25, 2018") is not None
