@@ -61,9 +61,6 @@ class Corpus:
     def __iter__(self) -> Iterator[Article]:
         return iter(self.articles)
 
-    def by_id(self) -> dict:
-        return {a.id: a for a in self.articles}
-
 
 def year_of(article: Article) -> int:
     """Calendar year of the article's publication date."""

@@ -15,6 +15,7 @@ from sourcescope.patterns import (
     PatternSet,
     Platform,
     contains_quote_signs,
+    could_cite,
     extract_quote_spans,
     find_embedding_span,
     match_patterns,
@@ -86,11 +87,11 @@ def classify_sentence(sentence: str, pattern_set: PatternSet) -> list[tuple]:
 
 
 def extract_mentions(article: Article, pattern_set: PatternSet) -> ExtractionResult:
-    """Segment and quote-scan the body once; classify each sentence."""
+    """Segment and quote-scan the body once; classify each sentence of a body that could cite."""
     quotes = extract_quote_spans(article.body)
     spans = segment(article.body, quotes)
     mentions: list[SourceMention] = []
-    for span in spans:
+    for span in spans if could_cite(article.body, pattern_set) else ():
         sentence = article.body[span.start:span.end]
         for platform, kind, (start, end), pattern_id in classify_sentence(sentence, pattern_set):
             mentions.append(

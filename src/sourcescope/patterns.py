@@ -52,9 +52,12 @@ def _compile_phrase(phrase: str, anchored: str) -> re.Pattern:
 
 # a phrase is filed under the first of these it contains
 _PLATFORM_WORDS = ("facebook", "twitter", "tweet")
-# the only characters that re.IGNORECASE matches to an ASCII letter while
-# str.lower() does not lower them to it; a sentence holding one skips the prescreen
-_UNLOWERED_FOLDS = frozenset("İıſ")
+
+
+# 'İ', 'ı' and 'ſ' are the only characters that re.IGNORECASE matches to an ASCII
+# letter while str.lower() does not lower them to it; a text holding one skips the prescreen
+def _has_unlowered_fold(text: str) -> bool:
+    return "İ" in text or "ı" in text or "ſ" in text
 
 
 def _prescreen_words(phrase: str) -> tuple[str, frozenset[str]]:
@@ -175,11 +178,11 @@ def match_patterns(sentence: str, pattern_set: PatternSet) -> list[PatternHit]:
     regex runs only when each of its prescreen words occurs in the
     lower-cased sentence, or when the sentence holds 'İ', 'ı' or 'ſ'.
     """
-    screened = _UNLOWERED_FOLDS.isdisjoint(sentence)
+    unscreened = _has_unlowered_fold(sentence)
     lowered = sentence.lower()
     hits: list[PatternHit] = []
     for key, (group_words, entries) in pattern_set._groups.items():
-        if not screened:
+        if unscreened:
             present = group_words
         elif key in lowered:
             present = {word for word in group_words if word in lowered}
@@ -220,6 +223,19 @@ def find_embedding_span(sentence: str) -> Optional[tuple[int, int]]:
         if m:
             return (m.start(), m.end())
     return None
+
+
+def could_cite(text: str, pattern_set: PatternSet) -> bool:
+    """False only when no sentence cut from text can yield a phrase hit or an embedding.
+
+    A group key found in a sentence's lower-cased text is also found in the
+    lower-cased text holding it: each key is ASCII, and str.lower() maps every
+    character that lowers to ASCII on its own.
+    """
+    if _has_unlowered_fold(text) or any(marker in text for marker in _EMBED_PRESCREEN):
+        return True
+    lowered = text.lower()
+    return any(key in lowered for key in pattern_set._groups)
 
 
 # --- quote-mark table and scanning ---

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from sourcescope.patterns import OPENING_QUOTE_CHARS, QuoteSpan, extract_quote_spans
 
@@ -22,55 +21,39 @@ ABBREVIATIONS = frozenset(
     }
 )
 
-_TERMINATOR_RE = re.compile(r"[.!?]+")
+# a terminator run followed by whitespace; group 2 is the next non-space
+# character, or "" at end of text
+_TERMINATOR_RE = re.compile(r"([.!?]+)(?=\s+(\S?))")
 _PARAGRAPH_RE = re.compile(r"\n[ \t]*\n")
 
 
-@dataclass(frozen=True)
-class SentenceSpan:
+class SentenceSpan(NamedTuple):
     index: int
     start: int  # inclusive
     end: int  # exclusive
 
 
-def _token_ending_at(text: str, end: int) -> str:
-    start = end
-    while start > 0 and not text[start - 1].isspace():
-        start -= 1
-    return text[start:end]
-
-
 def segment(text: str, quotes: Optional[Sequence[QuoteSpan]] = None) -> list[SentenceSpan]:
     """Sentence spans of text; `quotes` is extract_quote_spans(text) when already known."""
-    splits: set[int] = set()
-
-    for m in _PARAGRAPH_RE.finditer(text):
-        splits.add(m.start())
+    splits = {m.start() for m in _PARAGRAPH_RE.finditer(text)}
 
     if quotes is None:
         quotes = extract_quote_spans(text)
-    quote_regions = [(q.start, q.end) for q in quotes]
-    region_starts = [r[0] for r in quote_regions]
-
-    def inside_quote(pos: int) -> bool:
-        i = bisect_right(region_starts, pos) - 1
-        return i >= 0 and pos < quote_regions[i][1]
+    region_starts = [q.start for q in quotes]
+    region_ends = [q.end for q in quotes]
 
     for m in _TERMINATOR_RE.finditer(text):
+        nxt = m.group(2)
+        if nxt and not (nxt.isupper() or nxt in OPENING_QUOTE_CHARS):
+            continue
+        i = bisect_right(region_starts, m.start()) - 1
+        if i >= 0 and m.start() < region_ends[i]:
+            continue  # inside a quote span
         end = m.end()
-        if end >= len(text):
-            continue
-        if not text[end].isspace():
-            continue
-        nxt = end
-        while nxt < len(text) and text[nxt].isspace():
-            nxt += 1
-        if nxt < len(text) and not (text[nxt].isupper() or text[nxt] in OPENING_QUOTE_CHARS):
-            continue
-        if inside_quote(m.start()):
-            continue
-        if m.group() == ".":
-            token = _token_ending_at(text, end)
+        if m.group(1) == ".":
+            # the whitespace-free token ending here, cut to its last 6 characters:
+            # abbreviations have at most 4 and initials 2, so the cut never matters
+            token = text[max(0, end - 6):end].split()[-1]
             if token.lower() in ABBREVIATIONS:
                 continue
             # single-letter initials ("Donald J. Trump") never end a sentence
@@ -85,7 +68,7 @@ def segment(text: str, quotes: Optional[Sequence[QuoteSpan]] = None) -> list[Sen
         left = len(segment_text) - len(segment_text.lstrip())
         right = len(segment_text.rstrip())
         if right > left:
-            spans.append(SentenceSpan(index=len(spans), start=prev + left, end=prev + right))
+            spans.append(SentenceSpan(len(spans), prev + left, prev + right))
         prev = boundary
     return spans
 

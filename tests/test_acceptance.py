@@ -194,7 +194,7 @@ def test_criterion_5_property_suites(pattern_set, tmp_path):
         # classifier invariants on a random corpus
         corpus = conftest.random_corpus(rng, 60)
         results = extract_corpus(corpus, pattern_set)
-        index = corpus.by_id()
+        index = {a.id: a for a in corpus}
         for result in results:
             body = index[result.article_id].body
             spans = {s.index: s for s in segment(body)}
@@ -240,7 +240,7 @@ def test_criterion_5_property_suites(pattern_set, tmp_path):
 
 
 def index_of(corpus, article_id):
-    return corpus.by_id()[article_id]
+    return {a.id: a for a in corpus}[article_id]
 
 
 def _throughput_corpus(n_articles):

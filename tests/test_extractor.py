@@ -3,10 +3,12 @@ from datetime import date
 
 import pytest
 
-from conftest import random_corpus
+from conftest import random_corpus, random_sentence
 
+from sourcescope import extractor
 from sourcescope.corpus import Article, MediaType
 from sourcescope.extractor import (
+    MIN_QUOTE_CHARS,
     ExtractionResult,
     Kind,
     SourceMention,
@@ -15,7 +17,16 @@ from sourcescope.extractor import (
     extract_mentions,
     mention_to_record,
 )
-from sourcescope.patterns import Platform, contains_quote_signs, find_embedding_span, match_patterns
+from sourcescope.patterns import (
+    CitationPattern,
+    PatternSet,
+    Platform,
+    contains_quote_signs,
+    could_cite,
+    extract_quote_spans,
+    find_embedding_span,
+    match_patterns,
+)
 from sourcescope.segmenter import segment
 
 
@@ -226,6 +237,114 @@ class TestExtractMentions:
         assert result.direct_quote_count == 1
 
 
+def ungated_extract(art, pattern_set):
+    """extract_mentions without the body-level gate: every sentence is classified."""
+    quotes = extract_quote_spans(art.body)
+    spans = segment(art.body, quotes)
+    mentions = tuple(
+        SourceMention(art.id, span.index, platform, kind, pattern_id, start, end)
+        for span in spans
+        for platform, kind, (start, end), pattern_id in classify_sentence(art.body[span.start:span.end], pattern_set)
+    )
+    direct_quotes = sum(1 for q in quotes if q.end - q.start >= MIN_QUOTE_CHARS)
+    return ExtractionResult(art.id, mentions, tuple((s.start, s.end) for s in spans), direct_quotes)
+
+
+_GATE_MARKERS = (
+    "— Ann Lee (@annlee) May 4, 2016",
+    "pic.twitter.com/Ab12 drew attention.",
+    "See twitter.com/ann/status/123 now.",
+    "Call us (@home) today.",
+    "PIC.TWITTER.COM/Xy9 was shared.",
+)
+# near misses and context-dependent lowering: none of these names a platform
+_GATE_NEAR_MISSES = (
+    "ΟΔΥΣΣΕΥΣ wrote a book.",
+    "The Face Book club met.",
+    "Tweed jackets sold out.",
+    "Ask @ann on the site.",
+    "The Twit ter page is down.",
+    "\u212aids were at the fair.",
+)
+
+
+def gate_body(rng, phrases, words, extra_phrases):
+    pieces = []
+    for _ in range(rng.randint(1, 6)):
+        roll = rng.random()
+        if roll < 0.45:
+            pieces.append(random_sentence(rng))
+        elif roll < 0.65:
+            pieces.append(fuzz_sentence(rng, phrases, words, fold=rng.random() < 0.5) + ".")
+        elif roll < 0.75:
+            pieces.append(rng.choice(_GATE_MARKERS))
+        elif roll < 0.9:
+            pieces.append(rng.choice(_GATE_NEAR_MISSES))
+        else:
+            pieces.append(fuzz_sentence(rng, extra_phrases, words, fold=True) + "!")
+    return rng.choice((" ", "\n\n")).join(pieces)
+
+
+class TestCouldCiteGate:
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("The council met. Residents waited.", False),
+            ("The Face Book club met. \u212aids played.", False),
+            ("She posted on FaceBook.", True),
+            ("He TWEETED it.", True),
+            ("— Ann Lee (@annlee) May 4, 2016", True),
+            ("See twitter.com/ann/status/123 now.", True),
+            ("She wrote on twıtter.", True),
+        ],
+    )
+    def test_could_cite(self, pattern_set, body, expected):
+        assert could_cite(body, pattern_set) == expected
+
+    @pytest.mark.parametrize(
+        "extra, extra_phrases",
+        [
+            (None, ["took to twitter", "posted on facebook"]),
+            # no ASCII word: filed under "", which opens every gate
+            (CitationPattern("tw-900", Platform.TWITTER, "твитнула"), ["твитнула", "ТВИТНУЛА вчера"]),
+            # no platform word: filed under "status", which 'ſ' can spell
+            (CitationPattern("fb-900", Platform.FACEBOOK, "status update"), ["status update", "STATUS Update"]),
+        ],
+    )
+    def test_gated_equals_ungated_property(self, pattern_set, extra, extra_phrases):
+        ps = pattern_set if extra is None else PatternSet(pattern_set.patterns + (extra,), version="custom")
+        rng = random.Random(808 + len(extra_phrases[0]))
+        phrases = [p.phrase for p in pattern_set.patterns]
+        words = sorted({w for phrase in phrases for w in phrase.split()})
+        seen = {"closed": 0, "cited": 0, "unkeyed": 0, "extra_hits": 0}
+        for i in range(3000):
+            art = article(gate_body(rng, phrases, words, extra_phrases), i)
+            result = extract_mentions(art, ps)
+            assert result == ungated_extract(art, ps), art.body
+            seen["closed"] += not could_cite(art.body, ps)
+            if result.mentions:
+                seen["cited"] += 1
+                # cited although no ASCII group key or embed marker is in the body
+                lowered = art.body.lower()
+                seen["unkeyed"] += not any(k and k in lowered for k in list(ps._groups) + ["(@", "twitter.com"])
+            seen["extra_hits"] += sum(1 for m in result.mentions if extra and m.pattern_id == extra.id)
+        assert seen["cited"] and seen["unkeyed"], seen
+        assert extra is None or seen["extra_hits"], seen
+        if extra is None or extra.phrase.isascii():
+            assert seen["closed"] > 500, seen
+        else:
+            assert seen["closed"] == 0, seen
+
+    def test_classify_runs_only_in_bodies_that_could_cite(self, pattern_set, monkeypatch):
+        calls = []
+        real = extractor.classify_sentence
+        monkeypatch.setattr(extractor, "classify_sentence", lambda s, ps: calls.append(s) or real(s, ps))
+        quiet = extract_mentions(article("The council met. Residents waited! Officials spoke?"), pattern_set)
+        assert calls == [] and len(quiet.sentences) == 3
+        extract_mentions(article("The council met. She tweeted about it. Residents waited."), pattern_set)
+        assert calls == ["The council met.", "She tweeted about it.", "Residents waited."]
+
+
 class TestExtractCorpus:
     def test_empty_corpus(self, pattern_set):
         corpus = random_corpus(random.Random(0), 0)
@@ -272,7 +391,7 @@ class TestProperties:
         rng = random.Random(51)
         for _ in range(20):
             corpus = random_corpus(rng, 10)
-            index = corpus.by_id()
+            index = {a.id: a for a in corpus}
             for result in extract_corpus(corpus, pattern_set):
                 body = index[result.article_id].body
                 spans = segment(body)
@@ -297,7 +416,7 @@ class TestProperties:
         rng = random.Random(53)
         corpus = random_corpus(rng, 50)
         results = extract_corpus(corpus, pattern_set)
-        index = corpus.by_id()
+        index = {a.id: a for a in corpus}
         for result in results:
             assert result.mentions == naive_extract(index[result.article_id], pattern_set)
 

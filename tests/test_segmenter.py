@@ -1,8 +1,11 @@
 import random
+import re
+from bisect import bisect_right
 
 from conftest import random_body
 
-from sourcescope.segmenter import segment, sentences
+from sourcescope.patterns import OPENING_QUOTE_CHARS, extract_quote_spans
+from sourcescope.segmenter import ABBREVIATIONS, segment, sentences
 
 
 def test_empty_text():
@@ -88,3 +91,107 @@ def test_idempotence_on_extracted_sentences():
 def test_pure_function():
     text = "He tweeted. She replied! Mr. Lee wrote on Facebook."
     assert segment(text) == segment(text)
+
+
+# --- oracle: the earlier segmenter, walking tokens and whitespace char by char ---
+
+_NAIVE_TERMINATOR_RE = re.compile(r"[.!?]+")
+_NAIVE_PARAGRAPH_RE = re.compile(r"\n[ \t]*\n")
+
+
+def _token_ending_at(text, end):
+    start = end
+    while start > 0 and not text[start - 1].isspace():
+        start -= 1
+    return text[start:end]
+
+
+def naive_segment(text):
+    splits = set()
+    for m in _NAIVE_PARAGRAPH_RE.finditer(text):
+        splits.add(m.start())
+    quote_regions = [(q.start, q.end) for q in extract_quote_spans(text)]
+    region_starts = [r[0] for r in quote_regions]
+
+    def inside_quote(pos):
+        i = bisect_right(region_starts, pos) - 1
+        return i >= 0 and pos < quote_regions[i][1]
+
+    for m in _NAIVE_TERMINATOR_RE.finditer(text):
+        end = m.end()
+        if end >= len(text):
+            continue
+        if not text[end].isspace():
+            continue
+        nxt = end
+        while nxt < len(text) and text[nxt].isspace():
+            nxt += 1
+        if nxt < len(text) and not (text[nxt].isupper() or text[nxt] in OPENING_QUOTE_CHARS):
+            continue
+        if inside_quote(m.start()):
+            continue
+        if m.group() == ".":
+            token = _token_ending_at(text, end)
+            if token.lower() in ABBREVIATIONS:
+                continue
+            if len(token) == 2 and token[0].isupper():
+                continue
+        splits.add(end)
+
+    spans = []
+    prev = 0
+    for boundary in sorted(splits) + [len(text)]:
+        segment_text = text[prev:boundary]
+        left = len(segment_text) - len(segment_text.lstrip())
+        right = len(segment_text.rstrip())
+        if right > left:
+            spans.append((len(spans), prev + left, prev + right))
+        prev = boundary
+    return spans
+
+
+_ORACLE_WORDS = (
+    "the", "she", "Smith", "Trump", "posted", "Élan", "Ωmega", "ΟΔΥΣΣΕΥΣ", "9", "ab", "abcdefgh",
+    "J.", "É.", "x.", "mr.", "Mr.", "MR.", "mRs.", "u.s.", "U.S.", "u.S.", "a.M.", "P.m.", "Etc.",
+    "inc.", "GOV.", "co.", "vs.", "xu.s.", "Amr.", "zetc.", "ab.", "Smith.", "abcdef.", "e.g.",
+    "İ.", "ſt.", "\u212a.",
+)
+_ORACLE_TERMINATORS = ("", "", "", ".", ".", "!", "?", "?!.", "...", "!!", ".?")
+_ORACLE_SPACES = (
+    " ", " ", " ", "  ", "", "\t", "\n", "\n\n", "\n \t\n", "\n\t\n", " \n\t\n ",
+    "\x1c", "\x85", "\u2009", "\u3000", "\xa0", "\u2028",
+)
+_ORACLE_QUOTES = ("``", "''", "\u201c", "\u201d", "\u2018", "\u2019", "\u00ab", "\u00bb", '"', "`", "'")
+
+
+def oracle_text(rng):
+    out = []
+    for k in range(rng.randint(1, 12)):
+        if k:
+            out.append(rng.choice(_ORACLE_SPACES))
+        if rng.random() < 0.15:
+            out.append(rng.choice(_ORACLE_QUOTES))
+        out.append(rng.choice(_ORACLE_WORDS))
+        out.append(rng.choice(_ORACLE_TERMINATORS))
+        if rng.random() < 0.15:
+            out.append(rng.choice(_ORACLE_QUOTES))
+    if rng.random() < 0.2:
+        out.append(rng.choice(_ORACLE_SPACES))
+    return "".join(out)
+
+
+def test_naive_segment_agrees_with_examples():
+    assert naive_segment("He tweeted. She replied!") == [(0, 0, 11), (1, 12, 24)]
+    assert naive_segment("J. Smith wrote. The U.S. Senate met.") == [(0, 0, 15), (1, 16, 36)]
+    assert naive_segment("He xu.s. Then") == [(0, 0, 8), (1, 9, 13)]
+
+
+def test_segment_equals_naive_oracle():
+    rng = random.Random(4321)
+    splits = 0
+    for _ in range(50000):
+        text = oracle_text(rng)
+        expected = naive_segment(text)
+        assert [tuple(span) for span in segment(text)] == expected, text
+        splits += len(expected) - 1
+    assert splits > 50000
