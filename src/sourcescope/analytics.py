@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Protocol
 from sourcescope._fmt import atomic_open, fmt2, pct, round2
 from sourcescope.corpus import Article, Corpus, MediaType
 from sourcescope.extractor import KIND_ORDER, ExtractionResult
-from sourcescope.patterns import Platform
+from sourcescope.patterns import Platform, fold_case
 
 # accumulator keys are plain value tuples: (media_type, year, topic-or-None),
 # extended by (platform, kind) in mentions and by (platform,) in
@@ -42,11 +42,6 @@ class StatsAccumulator:
         return StatsAccumulator(
             **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
         )
-
-    def validate(self) -> None:
-        for key, count in self.articles_with_mention.items():
-            if count > self.article_count[key]:
-                raise ValueError(f"articles_with_mention > article_count for {key}")
 
 
 def accumulate(
@@ -355,32 +350,17 @@ TOPIC_KEYWORDS = {
     ),
 }
 
-# A keyword hits where a maximal \w run equals it under re.IGNORECASE. An
-# ASCII word is compared lower-cased; a non-ASCII one goes through the regex
-# engine, whose case folding also maps ı, İ, ſ and the Kelvin sign onto ASCII
-# letters where str.lower() does not.
+# A keyword hits where a maximal \w run equals it under re.IGNORECASE, which
+# is where a \w run of the case-folded text equals it.
 _KEYWORD_TOPIC = {kw: topic for topic, kws in TOPIC_KEYWORDS.items() for kw in kws}
-_KEYWORDS = tuple(_KEYWORD_TOPIC)
 _WORD_RE = re.compile(r"\w+")
-_FOLDED_KEYWORD_RE = re.compile(
-    "|".join(f"({re.escape(kw)})" for kw in _KEYWORDS), re.IGNORECASE
-)
 
 
 class KeywordTopicLabeler:
     """Offline fallback: most distinct keyword hits wins, ties lexicographic."""
 
     def label(self, text: str) -> Optional[str]:
-        hits = set()
-        for word in set(_WORD_RE.findall(text)):
-            if word.isascii():
-                word = word.lower()
-                if word in _KEYWORD_TOPIC:
-                    hits.add(word)
-            else:
-                match = _FOLDED_KEYWORD_RE.fullmatch(word)
-                if match:
-                    hits.add(_KEYWORDS[match.lastindex - 1])
+        hits = set(_WORD_RE.findall(fold_case(text))) & _KEYWORD_TOPIC.keys()
         counts = Counter(_KEYWORD_TOPIC[kw] for kw in hits)
         return max(sorted(counts), key=counts.__getitem__, default=None)
 

@@ -94,13 +94,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     note = evaluator.f1_transposition_note(report)
     evaluator.write_report_csv(report, out / "evaluation.csv", note=note)
 
-    for kind in evaluator.KIND_ORDER:
-        row = report.per_kind[kind]
-        print(
-            f"{evaluator.KIND_LABELS[kind]}: P={row.precision:.2f} R={row.recall:.2f} F1={row.f1:.2f}"
-        )
-    print(f"Macro-average: P={report.macro.precision:.2f} R={report.macro.recall:.2f} F1={report.macro.f1:.2f}")
-    print(f"Micro-average: P={report.micro.precision:.2f} R={report.micro.recall:.2f} F1={report.micro.f1:.2f}")
+    for label, row in evaluator.report_rows(report):
+        print(f"{label}: P={row.precision:.2f} R={row.recall:.2f} F1={row.f1:.2f}")
     if note:
         print(note)
     return EXIT_OK

@@ -185,16 +185,17 @@ def stratified_sample(corpus: Corpus, keywords: Sequence[str], n: int, seed: int
     """Draw up to n articles, as evenly as possible across keyword strata.
 
     A stratum holds the articles whose body contains the keyword
-    (case-insensitive); an article in several strata goes to the first
-    matching keyword. Empty-stratum quota is redistributed round-robin.
-    Deterministic for a given seed.
+    (case-insensitive, so keywords equal but for case form one stratum); an
+    article in several strata goes to the first matching keyword.
+    Empty-stratum quota is redistributed round-robin. Deterministic for a
+    given seed.
     """
-    if not keywords:
+    lowered = list(dict.fromkeys(kw.lower() for kw in keywords))
+    if not lowered:
         raise ValueError("keywords must be non-empty")
-    if n < len(keywords):
-        raise ValueError(f"n ({n}) must be >= number of keywords ({len(keywords)})")
+    if n < len(lowered):
+        raise ValueError(f"n ({n}) must be >= number of distinct keywords ({len(lowered)})")
 
-    lowered = [kw.lower() for kw in keywords]
     strata: dict[str, list[tuple[int, Article]]] = {kw: [] for kw in lowered}
     for pos, article in enumerate(corpus.articles):
         body = article.body.lower()

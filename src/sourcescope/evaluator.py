@@ -67,11 +67,12 @@ def _gold_annotation(obj) -> GoldAnnotation:
 def load_gold(path) -> list[GoldAnnotation]:
     """Read gold annotations, one JSON object per line; a bad line raises ValueError with its number."""
     annotations: dict = {}  # (article, sentence, platform) -> GoldAnnotation
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for line_number, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 gold = _gold_annotation(json.loads(line))
                 key = (gold.article_id, gold.sentence_index, gold.platform)
                 if key in annotations:
@@ -181,14 +182,17 @@ def f1_transposition_note(report: EvalReport) -> Optional[str]:
     return None
 
 
+def report_rows(report: EvalReport) -> list[tuple[str, MetricRow]]:
+    """The report's rows in reporting order: Quotation, Paraphrase, Embedding, Macro-average, Micro-average."""
+    rows = [(KIND_LABELS[kind], report.per_kind[kind]) for kind in KIND_ORDER]
+    return rows + [("Macro-average", report.macro), ("Micro-average", report.micro)]
+
+
 def write_report_csv(report: EvalReport, path, note: Optional[str] = None) -> None:
-    """CSV rows Quotation, Paraphrase, Embedding, Macro-average, Micro-average."""
+    """CSV header and one row per report_rows entry, then the note as a comment."""
     with atomic_open(path) as fh:
         fh.write("category,precision,recall,f1\n")
-        for kind in KIND_ORDER:
-            row = report.per_kind[kind]
-            fh.write(f"{KIND_LABELS[kind]},{fmt2(row.precision)},{fmt2(row.recall)},{fmt2(row.f1)}\n")
-        fh.write(f"Macro-average,{fmt2(report.macro.precision)},{fmt2(report.macro.recall)},{fmt2(report.macro.f1)}\n")
-        fh.write(f"Micro-average,{fmt2(report.micro.precision)},{fmt2(report.micro.recall)},{fmt2(report.micro.f1)}\n")
+        for label, row in report_rows(report):
+            fh.write(f"{label},{fmt2(row.precision)},{fmt2(row.recall)},{fmt2(row.f1)}\n")
         if note:
             fh.write(f"# {note}\n")

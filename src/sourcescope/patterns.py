@@ -54,17 +54,21 @@ def _compile_phrase(phrase: str, anchored: str) -> re.Pattern:
 _PLATFORM_WORDS = ("facebook", "twitter", "tweet")
 
 
-# 'İ', 'ı' and 'ſ' are the only characters that re.IGNORECASE matches to an ASCII
-# letter while str.lower() does not lower them to it; a text holding one skips the prescreen
-def _has_unlowered_fold(text: str) -> bool:
-    return "İ" in text or "ı" in text or "ſ" in text
+def fold_case(text: str) -> str:
+    """text lower-cased so that a character re.IGNORECASE matches to an ASCII letter becomes it.
+
+    str.lower() does that for every character but 'İ', 'ı' and 'ſ'. The
+    result has one character per character of text, and a character is a
+    word character in it iff it is one in text.
+    """
+    return text.replace("İ", "i").replace("ı", "i").replace("ſ", "s").lower()
 
 
 def _prescreen_words(phrase: str) -> tuple[str, frozenset[str]]:
     """The phrase's group key and the words a sentence must contain for it to match.
 
     Only ASCII words are required: re.IGNORECASE can match a non-ASCII
-    letter to one that str.lower() leaves apart (µ and μ). A phrase without
+    letter to one that fold_case leaves apart (µ and μ). A phrase without
     a platform word is filed under its longest such word, and under "",
     which every sentence contains, when it has none.
     """
@@ -176,18 +180,14 @@ def match_patterns(sentence: str, pattern_set: PatternSet) -> list[PatternHit]:
 
     Overlapping hits from different patterns are all reported. A phrase's
     regex runs only when each of its prescreen words occurs in the
-    lower-cased sentence, or when the sentence holds 'İ', 'ı' or 'ſ'.
+    case-folded sentence.
     """
-    unscreened = _has_unlowered_fold(sentence)
-    lowered = sentence.lower()
+    folded = fold_case(sentence)
     hits: list[PatternHit] = []
     for key, (group_words, entries) in pattern_set._groups.items():
-        if unscreened:
-            present = group_words
-        elif key in lowered:
-            present = {word for word in group_words if word in lowered}
-        else:
+        if key not in folded:
             continue
+        present = {word for word in group_words if word in folded}
         for pat, words, rx in entries:
             if not words <= present:
                 continue
@@ -228,14 +228,14 @@ def find_embedding_span(sentence: str) -> Optional[tuple[int, int]]:
 def could_cite(text: str, pattern_set: PatternSet) -> bool:
     """False only when no sentence cut from text can yield a phrase hit or an embedding.
 
-    A group key found in a sentence's lower-cased text is also found in the
-    lower-cased text holding it: each key is ASCII, and str.lower() maps every
-    character that lowers to ASCII on its own.
+    A group key found in a sentence's case-folded text is also found in the
+    case-folded text holding it: each key is ASCII, and fold_case maps every
+    character that folds to ASCII on its own.
     """
-    if _has_unlowered_fold(text) or any(marker in text for marker in _EMBED_PRESCREEN):
+    if any(marker in text for marker in _EMBED_PRESCREEN):
         return True
-    lowered = text.lower()
-    return any(key in lowered for key in pattern_set._groups)
+    folded = fold_case(text)
+    return any(key in folded for key in pattern_set._groups)
 
 
 # --- quote-mark table and scanning ---

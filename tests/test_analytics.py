@@ -704,10 +704,3 @@ class TestSummaryObject:
         assert politics["kind_pct"] == {Q: 9.77, P: 9.52, E: 80.71}
         assert politics["kinds"] == {Q: 665, P: 648, E: 5495}
 
-
-def test_validate_rejects_impossible_counts():
-    acc = StatsAccumulator()
-    acc.article_count[(M, 2015, None)] = 1
-    acc.articles_with_mention[(M, 2015, None)] = 2
-    with pytest.raises(ValueError):
-        acc.validate()

@@ -518,6 +518,28 @@ class TestSample:
         sampled = ingest(out / "sample.jsonl")
         assert len(sampled) == 6
 
+    def test_repeated_keyword_sample_reingests_whole(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, text, _ = run(
+            [
+                "sample",
+                "--corpus",
+                str(GOLDEN_CORPUS),
+                "--out",
+                str(out),
+                "--keywords",
+                "twitter,Twitter",
+                "-n",
+                "4",
+            ],
+            capsys,
+        )
+        assert code == cli.EXIT_OK
+        assert "4 articles sampled" in text
+        sampled = ingest(out / "sample.jsonl", fail_fast=False)
+        assert len(sampled) == 4
+        assert sampled.ingest_report.rejected == ()
+
     def test_sample_is_seed_deterministic(self, tmp_path, capsys):
         outputs = []
         for name in ("a", "b"):

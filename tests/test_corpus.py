@@ -184,6 +184,17 @@ def test_sample_multi_stratum_article_goes_to_first_keyword():
     assert len(sample) == 1
 
 
+def test_sample_repeated_keyword_is_one_stratum():
+    corpus = keyword_corpus({"twitter": 30, "facebook": 30})
+    once = stratified_sample(corpus, ["twitter"], 8, seed=4)
+    assert stratified_sample(corpus, ["twitter", "Twitter", "twitter"], 8, seed=4).articles == once.articles
+    assert len({a.id for a in once.articles}) == len(once) == 8
+    # n is checked against the two distinct keywords, not the three given
+    stratified_sample(corpus, ["twitter", "Twitter", "facebook"], 2, seed=4)
+    with pytest.raises(ValueError, match="distinct keywords"):
+        stratified_sample(corpus, ["twitter", "Twitter", "facebook"], 1, seed=4)
+
+
 def test_sample_validates_arguments():
     corpus = keyword_corpus({})
     with pytest.raises(ValueError):

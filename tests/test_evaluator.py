@@ -182,16 +182,19 @@ def test_load_gold_roundtrip(tmp_path):
         ('{"article_id": "a1", "sentence_index": 2, "platform": "twitter", "kind": "rumour"}', "rumour"),
         ('{"article_id": "a1", ', "gold line 2"),
         ('{"article_id": "a0", "sentence_index": 0, "platform": "facebook", "kind": "paraphrase"}', "duplicate"),
+        (b"\xff\xfe", "decode byte 0xff"),
     ],
     ids=[
         "not-an-object", "missing-key", "non-string-id", "negative-index", "float-index",
-        "bool-index", "bad-platform", "bad-kind", "bad-json", "duplicate-key",
+        "bool-index", "bad-platform", "bad-kind", "bad-json", "duplicate-key", "undecodable",
     ],
 )
 def test_load_gold_rejects_bad_line(tmp_path, bad_line, reason):
     path = tmp_path / "gold.jsonl"
-    good = '{"article_id": "a0", "sentence_index": 0, "platform": "facebook", "kind": "quotation"}'
-    path.write_text(f"{good}\n{bad_line}\n", encoding="utf-8")
+    good = b'{"article_id": "a0", "sentence_index": 0, "platform": "facebook", "kind": "quotation"}'
+    if isinstance(bad_line, str):
+        bad_line = bad_line.encode("utf-8")
+    path.write_bytes(good + b"\n" + bad_line + b"\n")
     with pytest.raises(ValueError, match="^gold line 2: ") as exc:
         load_gold(path)
     assert reason in str(exc.value)

@@ -296,6 +296,7 @@ class TestCouldCiteGate:
             ("— Ann Lee (@annlee) May 4, 2016", True),
             ("See twitter.com/ann/status/123 now.", True),
             ("She wrote on twıtter.", True),
+            ("İt was a quiet ſunday.", False),
         ],
     )
     def test_could_cite(self, pattern_set, body, expected):

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import pytest
 
@@ -15,6 +17,7 @@ from sourcescope.patterns import (
     default_patterns,
     extract_quote_spans,
     find_embedding_span,
+    fold_case,
     load_patterns,
     match_patterns,
 )
@@ -145,6 +148,34 @@ class TestMatchPatterns:
     def test_custom_phrase_without_platform_word(self, tmp_path, phrase, sentence, expected):
         ps = load_patterns(write_tsv(tmp_path / "p.tsv", [f"twitter\t{phrase}", "facebook\tposted on facebook"]))
         assert [(h.pattern_id, h.start, h.end) for h in match_patterns(sentence, ps)] == expected
+
+
+def test_fold_case_is_exact_on_every_code_point():
+    """The prescreens look for ASCII words in fold_case(text) and the regexes run on text.
+
+    That finds every hit only if, for each ASCII letter a and code point c,
+    re.IGNORECASE matches c to a exactly when fold_case(c) == a; the labeler
+    and the offsets also need fold_case to keep one character per character
+    and to keep word characters apart from the rest. A Python whose Unicode
+    tables add a case fold onto ASCII fails here.
+    """
+    letter = re.compile("[a-z]", re.IGNORECASE).fullmatch
+    word = re.compile(r"\w").match
+    folds_onto_ascii = []
+    for cp in range(sys.maxunicode + 1):
+        if 0xD800 <= cp <= 0xDFFF:  # surrogates
+            continue
+        c = chr(cp)
+        folded = fold_case(c)
+        if letter(c):
+            assert "a" <= folded <= "z" and re.fullmatch(folded, c, re.IGNORECASE), c
+            if not c.isascii():
+                folds_onto_ascii.append(c)
+        else:
+            assert not "a" <= folded <= "z", c
+        # fold_case(c) is c.lower() but for 'İ', whose lower() is the only one longer
+        assert len(folded) == 1 and (word(folded) is None) == (word(c) is None), c
+    assert folds_onto_ascii == ["İ", "ı", "ſ", "\u212a"]
 
 
 class TestDetectEmbedding:
