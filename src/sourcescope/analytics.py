@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Protocol
 
 from sourcescope._fmt import atomic_open, fmt2, pct, round2
-from sourcescope.corpus import Article, Corpus, MediaType
+from sourcescope.corpus import Article, MediaType
 from sourcescope.extractor import KIND_ORDER, ExtractionResult
 from sourcescope.patterns import Platform, fold_case
 
@@ -46,19 +46,20 @@ class StatsAccumulator:
 
 def accumulate(
     results: Iterable[ExtractionResult],
-    corpus: Corpus,
+    articles: Iterable[Article],
     labeler: Optional[TopicLabeler] = None,
 ) -> StatsAccumulator:
     """Fold extraction results, one per article in corpus order, into counters.
 
-    Each article is labeled once, by label_topic, as its result arrives; an
-    empty topic counts as unlabeled. An article with any mention increments
-    articles_with_mention exactly once. Every article of the corpus is
-    counted, so accumulators over disjoint corpus shards merge into the
-    accumulator of their union.
+    `articles` is any iterable of the articles in that order, such as a
+    Corpus. Each article is labeled once, by label_topic, as its result
+    arrives; an empty topic counts as unlabeled. An article with any mention
+    increments articles_with_mention exactly once. Every article is counted,
+    so accumulators over disjoint corpus shards merge into the accumulator of
+    their union.
     """
     acc = StatsAccumulator()
-    for article, result in zip(corpus.articles, results, strict=True):
+    for article, result in zip(articles, results, strict=True):
         if result.article_id != article.id:
             raise ValueError(f"result for article {result.article_id!r} where {article.id!r} was due")
         key = (article.media_type.value, article.published_at.year, label_topic(article, labeler) or None)

@@ -7,11 +7,12 @@ import os
 import signal
 import sys
 from contextlib import closing
+from itertools import tee
 from pathlib import Path
 
 from sourcescope import analytics, evaluator, extractor
 from sourcescope._fmt import atomic_open
-from sourcescope.corpus import Corpus, ingest, serialize, stratified_sample
+from sourcescope.corpus import Article, CorpusReader, Rejection, ingest, serialize, stratified_sample
 from sourcescope.patterns import PatternSet, default_patterns, load_patterns
 
 EXIT_OK = 0
@@ -43,14 +44,19 @@ def _labeler(args: argparse.Namespace):
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    corpus = ingest(args.corpus, fail_fast=args.fail_fast)
-    report = corpus.ingest_report
-    print(f"{report.accepted} accepted, {len(report.rejected)} rejected")
-    for line_number, reason in report.rejected:
+    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
+        rejected = [record for record in reader if isinstance(record, Rejection)]
+    print(f"{reader.accepted} accepted, {len(rejected)} rejected")
+    for line_number, reason in rejected:
         print(f"  rejected line {line_number}: {reason}")
-    if report.unknown_key_warnings:
-        print(f"  {report.unknown_key_warnings} unknown-key warnings")
+    if reader.unknown_key_warnings:
+        print(f"  {reader.unknown_key_warnings} unknown-key warnings")
     return EXIT_OK
+
+
+def _articles(reader: CorpusReader):
+    """The accepted articles of the corpus as they are read; rejected lines are dropped."""
+    return (record for record in reader if isinstance(record, Article))
 
 
 def _escape_cell(text: str) -> str:
@@ -58,36 +64,37 @@ def _escape_cell(text: str) -> str:
     return " ".join(text.replace("\t", " ").splitlines())
 
 
-def _writing_sentences(corpus: Corpus, results, fh):
+def _writing_sentences(articles, results, fh):
     """Pass the results through, writing each article's sentences.tsv rows on the way."""
-    for article, result in zip(corpus.articles, results):
+    for article, result in zip(articles, results):
         for index, (start, end) in enumerate(result.sentences):
             fh.write(f"{article.id}\t{index}\t{_escape_cell(article.body[start:end])}\n")
         yield result
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    corpus = ingest(args.corpus, fail_fast=args.fail_fast)
     pattern_set = _load_patterns(args.patterns)
-    out = _out_dir(args.out)
-    results = extractor.iter_extract(corpus, pattern_set, workers=args.parallel)
-
-    with atomic_open(out / "sentences.tsv") as fh:
-        mention_count = extractor.write_mentions(
-            _writing_sentences(corpus, results, fh), out / "mentions.jsonl"
-        )
-    print(f"{len(corpus)} articles processed, {mention_count} mentions")
+    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
+        out = _out_dir(args.out)
+        # the extractor reads ahead of the articles paired with its results
+        ahead, articles = tee(_articles(reader))
+        with closing(extractor.iter_extract(ahead, pattern_set, workers=args.parallel)) as results, \
+                atomic_open(out / "sentences.tsv") as fh:
+            mention_count = extractor.write_mentions(
+                _writing_sentences(articles, results, fh), out / "mentions.jsonl"
+            )
+    print(f"{reader.accepted} articles processed, {mention_count} mentions")
     print(f"pattern set version: {pattern_set.version}")
     return EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gold = evaluator.load_gold(args.gold)
-    corpus = ingest(args.corpus, fail_fast=args.fail_fast)
     pattern_set = _load_patterns(args.patterns)
-    out = _out_dir(args.out)
-    results = extractor.iter_extract(corpus, pattern_set, workers=args.parallel)
-    predicted = [m for r in results for m in r.mentions]
+    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
+        out = _out_dir(args.out)
+        with closing(extractor.iter_extract(_articles(reader), pattern_set, workers=args.parallel)) as results:
+            predicted = [m for r in results for m in r.mentions]
 
     counts = evaluator.compare(predicted, gold)
     report = evaluator.metrics(counts)
@@ -103,12 +110,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     labeler = _labeler(args)
-    corpus = ingest(args.corpus, fail_fast=args.fail_fast)
     pattern_set = _load_patterns(args.patterns)
-    out = _out_dir(args.out)
-    # a labeler failure stops the extraction at once: closing it cancels the pending work
-    with closing(extractor.iter_extract(corpus, pattern_set, workers=args.parallel)) as results:
-        acc = analytics.accumulate(results, corpus, labeler)
+    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
+        out = _out_dir(args.out)
+        ahead, articles = tee(_articles(reader))
+        # a labeler failure stops the extraction at once: closing it cancels the pending work
+        with closing(extractor.iter_extract(ahead, pattern_set, workers=args.parallel)) as results:
+            acc = analytics.accumulate(results, articles, labeler)
     media = analytics.media_report(acc)
     trend = analytics.trend_report(acc)
     ratio = analytics.ratio_report(acc)

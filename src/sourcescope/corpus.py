@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import sys
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from sourcescope._fmt import atomic_open
+from sourcescope.patterns import fold_case
 
 
 class MediaType(str, Enum):
@@ -19,6 +22,8 @@ class MediaType(str, Enum):
 
 REQUIRED_KEYS = ("id", "outlet", "media_type", "published_at", "headline", "body")
 OPTIONAL_KEYS = ("topic", "url")
+
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class IngestError(ValueError):
@@ -40,6 +45,13 @@ class Article:
     body: str
     topic: Optional[str] = None
     url: Optional[str] = None
+
+
+class Rejection(NamedTuple):
+    """A corpus line that was not accepted, and why."""
+
+    line_number: int
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -111,48 +123,97 @@ def _parse_record(obj: dict, line_number: int) -> tuple[Article, int]:
     return article, unknown
 
 
+def _parse_line(raw: bytes, line_number: int) -> Optional[tuple[Article, int]]:
+    """Decode and validate one corpus line; None for a blank line."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(line_number, f"invalid UTF-8 at byte offset {exc.start}") from None
+    if not line.strip():
+        return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise IngestError(line_number, f"malformed record: {exc.msg}") from None
+    except RecursionError:
+        raise IngestError(line_number, "malformed record: nested too deeply") from None
+    except ValueError:  # int()'s digit limit, the one other error json.loads raises
+        raise IngestError(
+            line_number, f"malformed record: number of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    article, unknown = _parse_record(obj, line_number)
+    # a lone surrogate in a field that outputs repeat cannot be written as
+    # UTF-8; in text that decoded from UTF-8, only a \u escape can make one
+    if "\\u" in line:
+        for key in ("id", "outlet", "headline", "body", "topic", "url"):
+            value = getattr(article, key)
+            if value is not None and _SURROGATE_RE.search(value):
+                raise IngestError(line_number, f"{key} holds a lone surrogate escape")
+    return article, unknown
+
+
+class CorpusReader:
+    """The records of a line-delimited corpus file (one JSON object per line), read lazily.
+
+    Iterating yields, in file order, each accepted Article and, without
+    fail_fast, a Rejection for each bad line; with fail_fast the first bad
+    line raises IngestError. Blank lines are skipped. Only the ids seen so
+    far are kept, so a pass holds one record at a time. The file is opened
+    by the constructor, so a missing corpus fails before anything else
+    happens; close() (or leaving a `with` block) closes it.
+    """
+
+    def __init__(self, path, fail_fast: bool = True):
+        self.fail_fast = fail_fast
+        self.accepted = 0
+        self.unknown_key_warnings = 0
+        self._fh = open(path, "rb")
+
+    def __enter__(self) -> CorpusReader:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __iter__(self) -> Iterator[Union[Article, Rejection]]:
+        seen_ids: set[str] = set()
+        for line_number, raw in enumerate(self._fh, start=1):
+            try:
+                parsed = _parse_line(raw, line_number)
+                if parsed is None:
+                    continue
+                article, unknown = parsed
+                if article.id in seen_ids:
+                    raise IngestError(line_number, f"duplicate article id {article.id!r}")
+            except IngestError as exc:
+                if self.fail_fast:
+                    raise
+                yield Rejection(exc.line_number, exc.reason)
+                continue
+            seen_ids.add(article.id)
+            self.accepted += 1
+            self.unknown_key_warnings += unknown
+            yield article
+
+
 def ingest(path: str, fail_fast: bool = True) -> Corpus:
-    """Read a line-delimited corpus file (one JSON object per line).
+    """Read a whole line-delimited corpus file (one JSON object per line).
 
     With fail_fast (the default), the first bad record raises IngestError.
     Otherwise bad records are skipped and listed in the corpus ingest report.
     """
     articles: list[Article] = []
-    seen_ids: set[str] = set()
-    rejected: list[tuple[int, str]] = []
-    unknown_total = 0
-
-    with open(path, "rb") as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            try:
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise IngestError(line_number, f"invalid UTF-8 at byte offset {exc.start}") from None
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IngestError(line_number, f"malformed record: {exc.msg}") from None
-                except RecursionError:
-                    raise IngestError(line_number, "malformed record: nested too deeply") from None
-                article, unknown = _parse_record(obj, line_number)
-                if article.id in seen_ids:
-                    raise IngestError(line_number, f"duplicate article id {article.id!r}")
-            except IngestError as exc:
-                if fail_fast:
-                    raise
-                rejected.append((exc.line_number, exc.reason))
-                continue
-            seen_ids.add(article.id)
-            unknown_total += unknown
-            articles.append(article)
-
+    rejected: list[Rejection] = []
+    with CorpusReader(path, fail_fast) as reader:
+        for record in reader:
+            (rejected if isinstance(record, Rejection) else articles).append(record)
     report = IngestReport(
-        accepted=len(articles),
+        accepted=reader.accepted,
         rejected=tuple(rejected),
-        unknown_key_warnings=unknown_total,
+        unknown_key_warnings=reader.unknown_key_warnings,
     )
     return Corpus(articles=tuple(articles), source_path=str(path), ingest_report=report)
 
@@ -184,32 +245,32 @@ def serialize(corpus: Corpus, path: str) -> None:
 def stratified_sample(corpus: Corpus, keywords: Sequence[str], n: int, seed: int) -> Corpus:
     """Draw up to n articles, as evenly as possible across keyword strata.
 
-    A stratum holds the articles whose body contains the keyword
-    (case-insensitive, so keywords equal but for case form one stratum); an
-    article in several strata goes to the first matching keyword.
-    Empty-stratum quota is redistributed round-robin. Deterministic for a
-    given seed.
+    A stratum holds the articles whose body contains the keyword, both
+    case-folded as the extractor folds them (patterns.fold_case), so keywords
+    equal but for case form one stratum; an article in several strata goes to
+    the first matching keyword. Empty-stratum quota is redistributed
+    round-robin. Deterministic for a given seed.
     """
-    lowered = list(dict.fromkeys(kw.lower() for kw in keywords))
-    if not lowered:
+    folded = list(dict.fromkeys(fold_case(kw) for kw in keywords))
+    if not folded:
         raise ValueError("keywords must be non-empty")
-    if n < len(lowered):
-        raise ValueError(f"n ({n}) must be >= number of distinct keywords ({len(lowered)})")
+    if n < len(folded):
+        raise ValueError(f"n ({n}) must be >= number of distinct keywords ({len(folded)})")
 
-    strata: dict[str, list[tuple[int, Article]]] = {kw: [] for kw in lowered}
+    strata: dict[str, list[tuple[int, Article]]] = {kw: [] for kw in folded}
     for pos, article in enumerate(corpus.articles):
-        body = article.body.lower()
-        for kw in lowered:
+        body = fold_case(article.body)
+        for kw in folded:
             if kw in body:
                 strata[kw].append((pos, article))
                 break
 
-    capacity = {kw: len(strata[kw]) for kw in lowered}
-    take = {kw: 0 for kw in lowered}
+    capacity = {kw: len(strata[kw]) for kw in folded}
+    take = {kw: 0 for kw in folded}
     remaining = min(n, sum(capacity.values()))
     while remaining:
         progressed = False
-        for kw in lowered:
+        for kw in folded:
             if remaining and take[kw] < capacity[kw]:
                 take[kw] += 1
                 remaining -= 1
@@ -219,7 +280,7 @@ def stratified_sample(corpus: Corpus, keywords: Sequence[str], n: int, seed: int
 
     rng = random.Random(seed)
     chosen: list[tuple[int, Article]] = []
-    for kw in lowered:
+    for kw in folded:
         if take[kw]:
             chosen.extend(rng.sample(strata[kw], take[kw]))
     chosen.sort(key=lambda item: item[0])

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import signal
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 from sourcescope._fmt import atomic_open
-from sourcescope.corpus import Article, Corpus
+from sourcescope.corpus import Article
 from sourcescope.patterns import (
     PatternSet,
     Platform,
@@ -24,6 +26,13 @@ from sourcescope.segmenter import segment
 
 # quote spans shorter than this are stray paired apostrophes, not direct quotes
 MIN_QUOTE_CHARS = 3
+
+# With workers, articles go to the pool in chunks of CHUNK_ARTICLES, and at
+# most CHUNKS_PER_WORKER chunks per worker are in flight: that window, not
+# the corpus, bounds the articles and results alive at once. Smaller chunks
+# cost more round trips to the workers; fewer in flight leave them idle.
+CHUNK_ARTICLES = 128
+CHUNKS_PER_WORKER = 4
 
 
 class Kind(str, Enum):
@@ -122,26 +131,47 @@ def _init_worker(pattern_set: PatternSet) -> None:
     _worker_pattern_set = pattern_set
 
 
-def _extract_one(article: Article) -> ExtractionResult:
-    return extract_mentions(article, _worker_pattern_set)
+def _extract_chunk(articles: list) -> list:
+    return [extract_mentions(article, _worker_pattern_set) for article in articles]
 
 
-def iter_extract(corpus: Corpus, pattern_set: PatternSet, workers: int = 1) -> Iterator[ExtractionResult]:
-    """Yield one result per article, in corpus order regardless of parallelism."""
+def iter_extract(
+    articles: Iterable[Article], pattern_set: PatternSet, workers: int = 1
+) -> Iterator[ExtractionResult]:
+    """Yield one result per article, in input order regardless of parallelism.
+
+    Articles are read from `articles` as they are needed: one at a time
+    serially, and with workers at most CHUNKS_PER_WORKER * workers chunks
+    ahead of the result being yielded. Closing the generator cancels the
+    chunks not yet started and waits for the running ones.
+    """
     if workers <= 1:
-        for article in corpus.articles:
+        for article in articles:
             yield extract_mentions(article, pattern_set)
         return
-    chunksize = max(1, len(corpus.articles) // (workers * 8))
+    source = iter(articles)
+    chunks = iter(lambda: list(islice(source, CHUNK_ARTICLES)), [])
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(pattern_set,)
     ) as executor:
-        yield from executor.map(_extract_one, corpus.articles, chunksize=chunksize)
+        pending: deque = deque()
+        try:
+            for chunk in chunks:
+                pending.append(executor.submit(_extract_chunk, chunk))
+                if len(pending) == workers * CHUNKS_PER_WORKER:
+                    yield from pending.popleft().result()
+            while pending:
+                yield from pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
-def extract_corpus(corpus: Corpus, pattern_set: PatternSet, workers: int = 1) -> list[ExtractionResult]:
-    """One result per article, in corpus order regardless of parallelism."""
-    return list(iter_extract(corpus, pattern_set, workers))
+def extract_corpus(
+    articles: Iterable[Article], pattern_set: PatternSet, workers: int = 1
+) -> list[ExtractionResult]:
+    """One result per article, in input order regardless of parallelism."""
+    return list(iter_extract(articles, pattern_set, workers))
 
 
 def mention_to_record(mention: SourceMention) -> dict:

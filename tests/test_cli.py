@@ -18,7 +18,7 @@ from sourcescope import analytics, cli, corpus, evaluator, extractor, patterns, 
 from sourcescope.corpus import ingest, serialize
 from sourcescope.segmenter import segment
 
-from conftest import GOLDEN_CORPUS, GOLDEN_GOLD, random_corpus
+from conftest import GOLDEN_CORPUS, GOLDEN_GOLD, fuzz_corpus_lines, random_corpus
 
 
 def run(args, capsys):
@@ -101,8 +101,13 @@ class TestIngest:
 
     @pytest.mark.parametrize(
         "bad_line",
-        [b'{"id": "a2", "body": "\xff"}', b"[" * 100000 + b"]" * 100000],
-        ids=["undecodable", "deeply-nested"],
+        [
+            b'{"id": "a2", "body": "\xff"}',
+            b"[" * 100000 + b"]" * 100000,
+            b'{"id": "a2", "n": 1' + b"0" * 4300 + b"}",
+            json.dumps(dict(GOOD_RECORD, id="a2", body="\ud800")).encode("utf-8"),
+        ],
+        ids=["undecodable", "deeply-nested", "over-long-number", "lone-surrogate"],
     )
     def test_bad_line_is_rejected_not_fatal(self, tmp_path, capsys, bad_line):
         path = tmp_path / "corpus.jsonl"
@@ -120,6 +125,31 @@ class TestIngest:
         code, _, err = run(["ingest", "--corpus", str(tmp_path / "nope.jsonl")], capsys)
         assert code == cli.EXIT_IO
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fuzzed_corpus_exit_codes(tmp_path, capsys, workers):
+    lines, expected = fuzz_corpus_lines(random.Random(11 + workers), 300)
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    fates = [fate for fate, _ in expected]
+    first_bad = fates.index("reject") + 1
+
+    code, out, _ = run(["ingest", "--corpus", str(path)], capsys)
+    assert code == cli.EXIT_OK
+    assert out.startswith(f"{fates.count('accept')} accepted, {fates.count('reject')} rejected\n")
+    code, _, err = run(["ingest", "--corpus", str(path), "--fail-fast"], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith(f"error: line {first_bad}: ")
+
+    extract = ["extract", "--corpus", str(path), "--parallel", str(workers), "--out"]
+    code, out, _ = run(extract + [str(tmp_path / "out")], capsys)
+    assert code == cli.EXIT_OK
+    assert out.startswith(f"{fates.count('accept')} articles processed, ")
+    code, _, err = run(extract + [str(tmp_path / "failed"), "--fail-fast"], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith(f"error: line {first_bad}: ")
+    assert list((tmp_path / "failed").iterdir()) == []
 
 
 class TestExtract:
@@ -274,6 +304,17 @@ class TestExtract:
         assert proc.returncode == -signal.SIGTERM
         assert sorted(path.name for path in out.iterdir()) == []
         assert workers and not [pid for pid in workers if _alive(pid)]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_missing_corpus_exits_before_out_is_created(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        code, _, err = run(
+            ["extract", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(out), "--parallel", workers],
+            capsys,
+        )
+        assert code == cli.EXIT_IO
+        assert err.startswith("error:")
+        assert not out.exists()
 
     def test_invalid_parallel(self, capsys):
         code, _, err = run(

@@ -7,13 +7,19 @@ import pytest
 from sourcescope.corpus import (
     Article,
     Corpus,
+    CorpusReader,
     IngestError,
     MediaType,
+    Rejection,
     ingest,
     serialize,
     stratified_sample,
     year_of,
 )
+from sourcescope.extractor import extract_mentions
+from sourcescope.patterns import default_patterns
+
+from conftest import fuzz_corpus_lines
 
 VALID = {
     "id": "a1",
@@ -85,6 +91,70 @@ def test_ingest_counts_unknown_keys(tmp_path):
     write_lines(path, [dict(VALID, scraped_by="bot", lang="en")])
     corpus = ingest(path)
     assert corpus.ingest_report.unknown_key_warnings == 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fuzzed_lines_each_accepted_or_rejected_once_in_order(tmp_path, seed):
+    lines, expected = fuzz_corpus_lines(random.Random(seed), 400)
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    want = [
+        (fate, art_id if fate == "accept" else number)
+        for number, (fate, art_id) in enumerate(expected, start=1)
+        if fate != "blank"
+    ]
+    with CorpusReader(path, fail_fast=False) as reader:
+        records = list(reader)
+    got = [
+        ("accept", r.id) if isinstance(r, Article) else ("reject", r.line_number) for r in records
+    ]
+    assert got == want
+    assert all(r.reason for r in records if isinstance(r, Rejection))
+
+    corpus = ingest(path, fail_fast=False)
+    assert corpus.articles == tuple(r for r in records if isinstance(r, Article))
+    assert corpus.ingest_report.rejected == tuple(r for r in records if isinstance(r, Rejection))
+    assert corpus.ingest_report.accepted == reader.accepted == len(corpus)
+    assert corpus.ingest_report.unknown_key_warnings == reader.unknown_key_warnings
+
+    # with fail_fast, the articles before the first bad line come out, then it raises
+    first = next(i for i, (fate, _) in enumerate(want) if fate == "reject")
+    first_bad = want[first][1]
+    before = [art_id for _, art_id in want[:first]]
+    with CorpusReader(path) as reader:
+        read = []
+        with pytest.raises(IngestError) as exc:
+            read.extend(reader)
+    assert exc.value.line_number == first_bad
+    assert [a.id for a in read] == before
+    with pytest.raises(IngestError) as exc:
+        ingest(path)
+    assert exc.value.line_number == first_bad
+
+
+def test_reader_opens_the_file_when_constructed(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        CorpusReader(tmp_path / "missing.jsonl")
+
+
+@pytest.mark.parametrize("key", ["id", "outlet", "headline", "body", "topic", "url"])
+def test_lone_surrogate_is_rejected_naming_its_field(tmp_path, key):
+    path = tmp_path / "c.jsonl"
+    line = json.dumps(dict(VALID, topic="Politics", url="http://x.example"))
+    path.write_text(line.replace(f'"{key}": "', f'"{key}": "\\ud800', 1) + "\n", encoding="utf-8")
+    corpus = ingest(path, fail_fast=False)
+    assert corpus.ingest_report.rejected == ((1, f"{key} holds a lone surrogate escape"),)
+    # an escaped surrogate pair is one character, and is accepted
+    path.write_text(line.replace(f'"{key}": "', f'"{key}": "\\ud83d\\ude00', 1) + "\n", encoding="utf-8")
+    assert getattr(ingest(path).articles[0], key).startswith("\U0001f600")
+
+
+def test_over_long_number_is_rejected_with_its_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(VALID) + "\n" + json.dumps(dict(VALID, id="a2"))[:-1] + ', "n": 1' + "0" * 4300 + "}\n")
+    corpus = ingest(path, fail_fast=False)
+    assert [a.id for a in corpus] == ["a1"]
+    assert corpus.ingest_report.rejected == ((2, "malformed record: number of more than 4300 digits"),)
 
 
 def test_roundtrip_identity(tmp_path):
@@ -193,6 +263,18 @@ def test_sample_repeated_keyword_is_one_stratum():
     stratified_sample(corpus, ["twitter", "Twitter", "facebook"], 2, seed=4)
     with pytest.raises(ValueError, match="distinct keywords"):
         stratified_sample(corpus, ["twitter", "Twitter", "facebook"], 1, seed=4)
+
+
+def test_sample_folds_case_as_the_extractor_does():
+    body = "She took to Twıtter to say so."  # dotless ı
+    article = make_article(0, body)
+    assert extract_mentions(article, default_patterns()).mentions[0].pattern_id == "tw-049"
+    corpus = Corpus(articles=(article, make_article(1, "nothing of interest here")), source_path="mem")
+    assert stratified_sample(corpus, ["twitter"], 1, seed=0).articles == (article,)
+    assert stratified_sample(corpus, ["TWİTTER"], 1, seed=0).articles == (article,)
+    # keywords equal once folded are one stratum
+    with pytest.raises(ValueError, match="distinct keywords"):
+        stratified_sample(corpus, ["twitter", "twıtter", "facebook"], 1, seed=0)
 
 
 def test_sample_validates_arguments():

@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 from datetime import date
 
@@ -15,6 +16,7 @@ from sourcescope.extractor import (
     classify_sentence,
     extract_corpus,
     extract_mentions,
+    iter_extract,
     mention_to_record,
 )
 from sourcescope.patterns import (
@@ -373,6 +375,53 @@ class TestExtractCorpus:
         write_mentions(extract_corpus(corpus, pattern_set), p1)
         write_mentions(extract_corpus(corpus, pattern_set), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestIterExtractIsLazy:
+    """iter_extract reads its articles only as the window needs them."""
+
+    @staticmethod
+    def counting(articles, pulled):
+        for article in articles:
+            pulled.append(article.id)
+            yield article
+
+    def test_serial_reads_one_article_per_result(self, pattern_set):
+        corpus = random_corpus(random.Random(8), 30)
+        pulled, results = [], []
+        for result in iter_extract(self.counting(corpus, pulled), pattern_set):
+            results.append(result)
+            assert len(pulled) == len(results)
+        assert results == extract_corpus(corpus, pattern_set)
+
+    def test_workers_read_at_most_the_window_ahead(self, pattern_set, monkeypatch):
+        monkeypatch.setattr(extractor, "CHUNK_ARTICLES", 3)
+        monkeypatch.setattr(extractor, "CHUNKS_PER_WORKER", 2)
+        window = 3 * 2 * 2
+        corpus = random_corpus(random.Random(9), 61)
+        pulled, results, ahead = [], [], []
+        for result in iter_extract(self.counting(corpus, pulled), pattern_set, workers=2):
+            results.append(result)
+            ahead.append(len(pulled) - len(results))
+        assert max(ahead) < window
+        assert max(ahead) > 1  # the workers did run ahead
+        assert results == extract_corpus(corpus, pattern_set)
+
+    def test_closing_after_the_first_result_stops_every_worker(self, pattern_set, monkeypatch):
+        monkeypatch.setattr(extractor, "CHUNK_ARTICLES", 3)
+        monkeypatch.setattr(extractor, "CHUNKS_PER_WORKER", 2)
+        before = set(multiprocessing.active_children())
+        corpus = random_corpus(random.Random(10), 200)
+        pulled = []
+        results = iter_extract(self.counting(corpus, pulled), pattern_set, workers=2)
+        assert next(results) == extract_mentions(corpus.articles[0], pattern_set)
+        workers = set(multiprocessing.active_children()) - before
+        assert workers
+        results.close()
+        for worker in workers:
+            worker.join(timeout=10)
+        assert not [worker for worker in workers if worker.is_alive()]
+        assert len(pulled) <= 3 * 2 * 2
 
 
 class TestProperties:

@@ -5,7 +5,7 @@ from bisect import bisect_right
 from conftest import random_body
 
 from sourcescope.patterns import OPENING_QUOTE_CHARS, extract_quote_spans
-from sourcescope.segmenter import ABBREVIATIONS, segment, sentences
+from sourcescope.segmenter import _TERMINATOR_RE, ABBREVIATIONS, segment, sentences
 
 
 def test_empty_text():
@@ -195,3 +195,16 @@ def test_segment_equals_naive_oracle():
         assert [tuple(span) for span in segment(text)] == expected, text
         splits += len(expected) - 1
     assert splits > 50000
+
+
+_PLUS_TERMINATOR_RE = re.compile(r"([.!?]+)(?=\s+(\S?))")
+_TERMINATOR_ALPHABET = ".!?" * 3 + " \t\n\x0b\x1c\x85\xa0\u2028\u3000" + "aZ9\xc9\"\u201c'" + "\ud800"
+
+
+def test_terminator_regex_equals_plus_spelling():
+    rng = random.Random(77)
+    for _ in range(20000):
+        text = "".join(rng.choice(_TERMINATOR_ALPHABET) for _ in range(rng.randint(0, 24)))
+        assert [(m.span(), m.groups()) for m in _TERMINATOR_RE.finditer(text)] == [
+            (m.span(), m.groups()) for m in _PLUS_TERMINATOR_RE.finditer(text)
+        ], repr(text)
