@@ -1,6 +1,6 @@
 """sourcescope: detection and analysis of social-media source citations in news text."""
 
-from sourcescope.corpus import Article, Corpus, MediaType, ingest, serialize, stratified_sample, year_of
+from sourcescope.corpus import Article, Corpus, MediaType, ingest, serialize, stratified_sample
 from sourcescope.patterns import (
     CitationPattern,
     PatternSet,
@@ -29,5 +29,4 @@ __all__ = [
     "load_patterns",
     "serialize",
     "stratified_sample",
-    "year_of",
 ]

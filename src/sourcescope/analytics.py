@@ -45,23 +45,19 @@ class StatsAccumulator:
 
 
 def accumulate(
-    results: Iterable[ExtractionResult],
-    articles: Iterable[Article],
-    labeler: Optional[TopicLabeler] = None,
+    pairs: Iterable[tuple[Article, ExtractionResult]], labeler: Optional[TopicLabeler] = None
 ) -> StatsAccumulator:
-    """Fold extraction results, one per article in corpus order, into counters.
+    """Fold each article, paired with its extraction result, into counters.
 
-    `articles` is any iterable of the articles in that order, such as a
-    Corpus. Each article is labeled once, by label_topic, as its result
-    arrives; an empty topic counts as unlabeled. An article with any mention
-    increments articles_with_mention exactly once. Every article is counted,
-    so accumulators over disjoint corpus shards merge into the accumulator of
+    The pairs are those extractor.iter_extract yields. Each article is
+    labeled once, by label_topic, as its pair arrives; an empty topic counts
+    as unlabeled. An article with any mention increments
+    articles_with_mention exactly once. Every article is counted, so
+    accumulators over disjoint corpus shards merge into the accumulator of
     their union.
     """
     acc = StatsAccumulator()
-    for article, result in zip(articles, results, strict=True):
-        if result.article_id != article.id:
-            raise ValueError(f"result for article {result.article_id!r} where {article.id!r} was due")
+    for article, result in pairs:
         key = (article.media_type.value, article.published_at.year, label_topic(article, labeler) or None)
         acc.article_count[key] += 1
         acc.direct_quotes[key] += result.direct_quote_count
@@ -398,8 +394,10 @@ class RemoteTopicLabeler:
                     return body or None
             except (urllib.error.URLError, OSError) as exc:
                 last_error = exc
-                if isinstance(exc, urllib.error.HTTPError) and exc.code < 500:
-                    break  # the server refused the request; sending it again will not help
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # it holds the server's response open; its text stays
+                    if exc.code < 500:
+                        break  # the server refused the request; sending it again will not help
         raise LabelerError(f"remote labeler at {self.url} failed: {last_error}", attempt)
 
 

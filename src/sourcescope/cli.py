@@ -7,12 +7,12 @@ import os
 import signal
 import sys
 from contextlib import closing
-from itertools import tee
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from sourcescope import analytics, evaluator, extractor
 from sourcescope._fmt import atomic_open
-from sourcescope.corpus import Article, CorpusReader, Rejection, ingest, serialize, stratified_sample
+from sourcescope.corpus import Article, CorpusReader, Rejection, chosen_articles, serialize, stratified_sample
 from sourcescope.patterns import PatternSet, default_patterns, load_patterns
 
 EXIT_OK = 0
@@ -64,9 +64,9 @@ def _escape_cell(text: str) -> str:
     return " ".join(text.replace("\t", " ").splitlines())
 
 
-def _writing_sentences(articles, results, fh):
+def _writing_sentences(pairs, fh):
     """Pass the results through, writing each article's sentences.tsv rows on the way."""
-    for article, result in zip(articles, results):
+    for article, result in pairs:
         for index, (start, end) in enumerate(result.sentences):
             fh.write(f"{article.id}\t{index}\t{_escape_cell(article.body[start:end])}\n")
         yield result
@@ -76,13 +76,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     pattern_set = _load_patterns(args.patterns)
     with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
         out = _out_dir(args.out)
-        # the extractor reads ahead of the articles paired with its results
-        ahead, articles = tee(_articles(reader))
-        with closing(extractor.iter_extract(ahead, pattern_set, workers=args.parallel)) as results, \
+        with closing(extractor.iter_extract(_articles(reader), pattern_set, workers=args.parallel)) as pairs, \
                 atomic_open(out / "sentences.tsv") as fh:
-            mention_count = extractor.write_mentions(
-                _writing_sentences(articles, results, fh), out / "mentions.jsonl"
-            )
+            mention_count = extractor.write_mentions(_writing_sentences(pairs, fh), out / "mentions.jsonl")
     print(f"{reader.accepted} articles processed, {mention_count} mentions")
     print(f"pattern set version: {pattern_set.version}")
     return EXIT_OK
@@ -93,8 +89,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pattern_set = _load_patterns(args.patterns)
     with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
         out = _out_dir(args.out)
-        with closing(extractor.iter_extract(_articles(reader), pattern_set, workers=args.parallel)) as results:
-            predicted = [m for r in results for m in r.mentions]
+        with closing(extractor.iter_extract(_articles(reader), pattern_set, workers=args.parallel)) as pairs:
+            predicted = [m for _, result in pairs for m in result.mentions]
 
     counts = evaluator.compare(predicted, gold)
     report = evaluator.metrics(counts)
@@ -113,10 +109,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     pattern_set = _load_patterns(args.patterns)
     with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
         out = _out_dir(args.out)
-        ahead, articles = tee(_articles(reader))
         # a labeler failure stops the extraction at once: closing it cancels the pending work
-        with closing(extractor.iter_extract(ahead, pattern_set, workers=args.parallel)) as results:
-            acc = analytics.accumulate(results, articles, labeler)
+        with closing(extractor.iter_extract(_articles(reader), pattern_set, workers=args.parallel)) as pairs:
+            acc = analytics.accumulate(pairs, labeler)
     media = analytics.media_report(acc)
     trend = analytics.trend_report(acc)
     ratio = analytics.ratio_report(acc)
@@ -139,11 +134,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     keywords = [kw.strip() for kw in args.keywords.split(",") if kw.strip()]
-    corpus = ingest(args.corpus, fail_fast=args.fail_fast)
+    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
+        chosen = stratified_sample(_articles(reader), keywords, args.sample_size, args.seed)
     out = _out_dir(args.out)
-    sample = stratified_sample(corpus, keywords, args.sample_size, args.seed)
-    serialize(sample, out / "sample.jsonl")
-    print(f"{len(sample)} articles sampled")
+    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
+        serialize(chosen_articles(_articles(reader), chosen), out / "sample.jsonl")
+    print(f"{len(chosen)} articles sampled")
     return EXIT_OK
 
 
@@ -162,6 +158,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
     return value
+
+
+def _http_url(text: str) -> str:
+    parts = urlsplit(text)
+    if parts.scheme not in ("http", "https") or not parts.netloc:
+        raise argparse.ArgumentTypeError(f"must be an http or https URL, not {text!r}")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--gold", required=True, help="gold annotation file")
     analyze = command("analyze", cmd_analyze, extracts=True)
     analyze.add_argument("--labeler", choices=("preset", "keyword", "remote"), default="preset")
-    analyze.add_argument("--labeler-url", default=None, help="remote topic labeler endpoint")
+    analyze.add_argument("--labeler-url", type=_http_url, default=None, help="remote topic labeler endpoint")
     analyze.add_argument("--top-k", type=_positive_int, default=5, help="topics per media type")
     sample = command("sample", cmd_sample)
     sample.add_argument("--out", default="out", help="output directory")

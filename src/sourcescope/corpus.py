@@ -6,10 +6,10 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from sourcescope._fmt import atomic_open
 from sourcescope.patterns import fold_case
@@ -55,28 +55,15 @@ class Rejection(NamedTuple):
 
 
 @dataclass(frozen=True)
-class IngestReport:
-    accepted: int
-    rejected: tuple  # of (line_number, reason)
-    unknown_key_warnings: int
-
-
-@dataclass(frozen=True)
 class Corpus:
     articles: tuple  # of Article, in input-file order
     source_path: str = ""
-    ingest_report: Optional[IngestReport] = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.articles)
 
     def __iter__(self) -> Iterator[Article]:
         return iter(self.articles)
-
-
-def year_of(article: Article) -> int:
-    """Calendar year of the article's publication date."""
-    return article.published_at.year
 
 
 def _parse_record(obj: dict, line_number: int) -> tuple[Article, int]:
@@ -200,22 +187,13 @@ class CorpusReader:
 
 
 def ingest(path: str, fail_fast: bool = True) -> Corpus:
-    """Read a whole line-delimited corpus file (one JSON object per line).
+    """The accepted articles of a whole corpus file, held in memory; the commands stream it instead.
 
-    With fail_fast (the default), the first bad record raises IngestError.
-    Otherwise bad records are skipped and listed in the corpus ingest report.
+    With fail_fast (the default) the first bad record raises IngestError; otherwise it is skipped.
     """
-    articles: list[Article] = []
-    rejected: list[Rejection] = []
     with CorpusReader(path, fail_fast) as reader:
-        for record in reader:
-            (rejected if isinstance(record, Rejection) else articles).append(record)
-    report = IngestReport(
-        accepted=reader.accepted,
-        rejected=tuple(rejected),
-        unknown_key_warnings=reader.unknown_key_warnings,
-    )
-    return Corpus(articles=tuple(articles), source_path=str(path), ingest_report=report)
+        articles = tuple(record for record in reader if isinstance(record, Article))
+    return Corpus(articles=articles, source_path=str(path))
 
 
 def article_to_record(article: Article) -> dict:
@@ -234,22 +212,24 @@ def article_to_record(article: Article) -> dict:
     return record
 
 
-def serialize(corpus: Corpus, path: str) -> None:
-    """Write the corpus back out, one JSON object per line, in corpus order."""
+def serialize(articles: Iterable[Article], path: str) -> None:
+    """Write articles, such as a Corpus, one JSON object per line, in the order given."""
     with atomic_open(path) as fh:
-        for article in corpus.articles:
+        for article in articles:
             fh.write(json.dumps(article_to_record(article), ensure_ascii=False))
             fh.write("\n")
 
 
-def stratified_sample(corpus: Corpus, keywords: Sequence[str], n: int, seed: int) -> Corpus:
-    """Draw up to n articles, as evenly as possible across keyword strata.
+def stratified_sample(
+    articles: Iterable[Article], keywords: Sequence[str], n: int, seed: int
+) -> list[tuple[int, str]]:
+    """The (position, id), in corpus order, of up to n articles drawn evenly across keyword strata.
 
     A stratum holds the articles whose body contains the keyword, both
     case-folded as the extractor folds them (patterns.fold_case), so keywords
     equal but for case form one stratum; an article in several strata goes to
     the first matching keyword. Empty-stratum quota is redistributed
-    round-robin. Deterministic for a given seed.
+    round-robin. Deterministic for a given seed; holds only positions and ids.
     """
     folded = list(dict.fromkeys(fold_case(kw) for kw in keywords))
     if not folded:
@@ -257,35 +237,37 @@ def stratified_sample(corpus: Corpus, keywords: Sequence[str], n: int, seed: int
     if n < len(folded):
         raise ValueError(f"n ({n}) must be >= number of distinct keywords ({len(folded)})")
 
-    strata: dict[str, list[tuple[int, Article]]] = {kw: [] for kw in folded}
-    for pos, article in enumerate(corpus.articles):
+    strata: dict[str, list[tuple[int, str]]] = {kw: [] for kw in folded}
+    for pos, article in enumerate(articles):
         body = fold_case(article.body)
         for kw in folded:
             if kw in body:
-                strata[kw].append((pos, article))
+                strata[kw].append((pos, article.id))
                 break
 
     capacity = {kw: len(strata[kw]) for kw in folded}
     take = {kw: 0 for kw in folded}
     remaining = min(n, sum(capacity.values()))
-    while remaining:
-        progressed = False
+    while remaining:  # it never exceeds the capacity left, so each round takes at least one
         for kw in folded:
             if remaining and take[kw] < capacity[kw]:
                 take[kw] += 1
                 remaining -= 1
-                progressed = True
-        if not progressed:
-            break
 
     rng = random.Random(seed)
-    chosen: list[tuple[int, Article]] = []
+    chosen: list[tuple[int, str]] = []
     for kw in folded:
         if take[kw]:
             chosen.extend(rng.sample(strata[kw], take[kw]))
-    chosen.sort(key=lambda item: item[0])
+    chosen.sort()
+    return chosen
 
-    return Corpus(
-        articles=tuple(article for _, article in chosen),
-        source_path=f"{corpus.source_path}#sample(n={n},seed={seed})",
-    )
+
+def chosen_articles(articles: Iterable[Article], chosen: Sequence[tuple[int, str]]) -> Iterator[Article]:
+    """The articles stratified_sample chose, read again by position; ValueError names one that moved."""
+    source = enumerate(articles)
+    for position, chosen_id in chosen:
+        article = next((article for pos, article in source if pos == position), None)
+        if article is None or article.id != chosen_id:
+            raise ValueError(f"sampled article {chosen_id!r} is no longer in its place: the corpus changed")
+        yield article

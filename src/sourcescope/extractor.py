@@ -137,33 +137,34 @@ def _extract_chunk(articles: list) -> list:
 
 def iter_extract(
     articles: Iterable[Article], pattern_set: PatternSet, workers: int = 1
-) -> Iterator[ExtractionResult]:
-    """Yield one result per article, in input order regardless of parallelism.
+) -> Iterator[tuple[Article, ExtractionResult]]:
+    """Yield each article paired with its result, in input order regardless of parallelism.
 
-    Articles are read from `articles` as they are needed: one at a time
-    serially, and with workers at most CHUNKS_PER_WORKER * workers chunks
-    ahead of the result being yielded. Closing the generator cancels the
-    chunks not yet started and waits for the running ones.
+    Articles are read as they are needed: one at a time serially, and with
+    workers at most CHUNKS_PER_WORKER * workers chunks ahead, each kept beside
+    its future, as workers return only results. Closing the generator cancels
+    the chunks not yet started and waits for the running ones.
     """
     if workers <= 1:
         for article in articles:
-            yield extract_mentions(article, pattern_set)
+            yield article, extract_mentions(article, pattern_set)
         return
     source = iter(articles)
     chunks = iter(lambda: list(islice(source, CHUNK_ARTICLES)), [])
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(pattern_set,)
     ) as executor:
-        pending: deque = deque()
+        pending: deque = deque()  # of (chunk, future of its results)
         try:
             for chunk in chunks:
-                pending.append(executor.submit(_extract_chunk, chunk))
+                pending.append((chunk, executor.submit(_extract_chunk, chunk)))
                 if len(pending) == workers * CHUNKS_PER_WORKER:
-                    yield from pending.popleft().result()
-            while pending:
-                yield from pending.popleft().result()
+                    chunk, future = pending.popleft()
+                    yield from zip(chunk, future.result(), strict=True)
+            for chunk, future in pending:
+                yield from zip(chunk, future.result(), strict=True)
         finally:
-            for future in pending:
+            for _, future in pending:
                 future.cancel()
 
 
@@ -171,7 +172,7 @@ def extract_corpus(
     articles: Iterable[Article], pattern_set: PatternSet, workers: int = 1
 ) -> list[ExtractionResult]:
     """One result per article, in input order regardless of parallelism."""
-    return list(iter_extract(articles, pattern_set, workers))
+    return [result for _, result in iter_extract(articles, pattern_set, workers)]
 
 
 def mention_to_record(mention: SourceMention) -> dict:

@@ -115,9 +115,6 @@ class PatternSet:
     def count(self, platform: Platform) -> int:
         return sum(1 for p in self.patterns if p.platform == platform)
 
-    def __len__(self) -> int:
-        return len(self.patterns)
-
 
 def load_patterns(path) -> PatternSet:
     """Load a UTF-8 TSV pattern file.
@@ -131,9 +128,12 @@ def load_patterns(path) -> PatternSet:
     counters = {Platform.FACEBOOK: 0, Platform.TWITTER: 0}
     prefix = {Platform.FACEBOOK: "fb", Platform.TWITTER: "tw"}
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise PatternFileError(f"line {line_number}: invalid UTF-8 at byte offset {exc.start}") from None
             if not line.strip():
                 continue
             if line.lstrip().startswith("#"):

@@ -37,7 +37,7 @@ from sourcescope.analytics import (
     trend_report,
     write_trend_tsv,
 )
-from sourcescope.corpus import Article, Corpus, MediaType
+from sourcescope.corpus import Article, MediaType
 from sourcescope.extractor import ExtractionResult, Kind, SourceMention, extract_corpus
 from sourcescope.patterns import Platform, default_patterns
 
@@ -80,54 +80,36 @@ class CountingLabeler:
 
 class TestAccumulate:
     def test_no_results_all_zero(self):
-        corpus = Corpus(articles=(), source_path="mem")
-        acc = accumulate([], corpus)
+        acc = accumulate([])
         assert not acc.articles_with_mention and not acc.mentions
 
     def test_article_level_dedup(self):
-        corpus = Corpus(articles=(article(1),), source_path="mem")
         mentions = [twitter_mention("a1", i, Kind.EMBEDDING) for i in range(3)]
-        acc = accumulate([result("a1", mentions)], corpus)
+        acc = accumulate([(article(1), result("a1", mentions))])
         key = (M, 2015, None)
         assert acc.mentions[key + (TW, E)] == 3
         assert acc.articles_with_mention[key] == 1
         assert acc.platform_articles[key + (TW,)] == 1
 
-    def test_unknown_article_id_errors(self):
-        corpus = Corpus(articles=(article(1),), source_path="mem")
-        with pytest.raises(ValueError, match="zz"):
-            accumulate([result("zz")], corpus)
-
-    def test_result_out_of_corpus_order_errors(self):
-        corpus = Corpus(articles=(article(1), article(2)), source_path="mem")
-        with pytest.raises(ValueError, match="'a2'.*'a1'"):
-            accumulate([result("a2"), result("a1")], corpus)
-
-    def test_fewer_results_than_articles_errors(self):
-        corpus = Corpus(articles=(article(1), article(2)), source_path="mem")
-        with pytest.raises(ValueError):
-            accumulate([result("a1")], corpus)
-
     def test_partial_streams_merge_equals_single_pass(self):
-        articles = tuple(article(i) for i in range(6))
-        results = [
-            result(f"a{i}", [twitter_mention(f"a{i}", 0, Kind.PARAPHRASE)], quotes=i) for i in range(6)
+        pairs = [
+            (article(i), result(f"a{i}", [twitter_mention(f"a{i}", 0, Kind.PARAPHRASE)], quotes=i))
+            for i in range(6)
         ]
-        single = accumulate(results, Corpus(articles=articles, source_path="mem"))
-        first = accumulate(results[:3], Corpus(articles=articles[:3], source_path="mem"))
-        second = accumulate(results[3:], Corpus(articles=articles[3:], source_path="mem"))
+        single = accumulate(pairs)
+        first = accumulate(pairs[:3])
+        second = accumulate(pairs[3:])
         assert first.merge(second) == single
 
     def test_topics_override(self):
-        corpus = Corpus(articles=(article(1),), source_path="mem")
-        acc = accumulate([result("a1")], corpus, CountingLabeler("Sports"))
+        acc = accumulate([(article(1), result("a1"))], CountingLabeler("Sports"))
         assert acc.article_count[(M, 2015, "Sports")] == 1
 
     def test_labeler_called_once_per_article_without_a_topic(self):
         topics = (None, "Health", None, "")
         articles = tuple(article(i, topic=topic, body=f"b{i}") for i, topic in enumerate(topics))
         labeler = CountingLabeler("Sports")
-        acc = accumulate([result(a.id) for a in articles], Corpus(articles=articles, source_path="mem"), labeler)
+        acc = accumulate([(a, result(a.id)) for a in articles], labeler)
         assert labeler.texts == ["h\nb0", "h\nb2", "h\nb3"]
         assert acc.article_count == Counter({(M, 2015, "Sports"): 3, (M, 2015, "Health"): 1})
 
@@ -326,7 +308,7 @@ class TestPercentagesRecomputable:
     def test_every_percentage_matches_its_counters(self, pattern_set):
         corpus = random_corpus(random.Random(4), 40)
         results = extract_corpus(corpus, pattern_set)
-        acc = accumulate(results, corpus)
+        acc = accumulate(zip(corpus, results))
         report = media_report(acc)
         for row in report.rows.values():
             if row.total_articles:
@@ -382,6 +364,7 @@ class TestLabelers:
             assert received["auth"] == "Bearer sekrit"
         finally:
             server.shutdown()
+            server.server_close()
 
     @pytest.mark.parametrize(
         "status, retries, attempts, sleeps",

@@ -534,6 +534,28 @@ class TestAnalyze:
         assert code == cli.EXIT_VALIDATION
         assert "--labeler-url" in err
 
+    @pytest.mark.parametrize("url", ["notaurl", "ftp://127.0.0.1/label", "file:///etc/hosts", "http:label"])
+    def test_url_that_is_not_http_is_a_usage_error(self, tmp_path, capsys, url):
+        code, out, err = run(
+            [
+                "analyze",
+                "--corpus",
+                str(GOLDEN_CORPUS),
+                "--out",
+                str(tmp_path / "out"),
+                "--labeler",
+                "remote",
+                "--labeler-url",
+                url,
+            ],
+            capsys,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error:")
+        assert "--labeler-url" in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestSample:
     def test_sample_round_trips(self, tmp_path, capsys):
@@ -577,9 +599,9 @@ class TestSample:
         )
         assert code == cli.EXIT_OK
         assert "4 articles sampled" in text
-        sampled = ingest(out / "sample.jsonl", fail_fast=False)
-        assert len(sampled) == 4
-        assert sampled.ingest_report.rejected == ()
+        with corpus.CorpusReader(out / "sample.jsonl", fail_fast=False) as reader:
+            records = list(reader)
+        assert len(records) == reader.accepted == 4
 
     def test_sample_is_seed_deterministic(self, tmp_path, capsys):
         outputs = []
@@ -624,6 +646,30 @@ class TestSample:
         sampled = ingest(out / "sample.jsonl")
         assert 0 < len(sampled) < 5000
         assert all("twitter" in a.body.lower() for a in sampled.articles)
+
+    @pytest.mark.parametrize(
+        "second_pass, expected_id",
+        [(lambda records: records[:2] + [dict(GOOD_RECORD, id="new")] + records[2:], "a2"),
+         (lambda records: records[:3], "a3")],
+        ids=["article-moved", "article-gone"],
+    )
+    def test_corpus_changed_between_passes_exits_naming_the_article(
+        self, tmp_path, capsys, monkeypatch, second_pass, expected_id
+    ):
+        records = [dict(GOOD_RECORD, id=f"a{i}") for i in range(6)]
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_jsonl(first, records)
+        write_jsonl(second, second_pass(records))
+        paths = iter([first, second])  # one read per pass, and no third
+        monkeypatch.setattr(cli, "CorpusReader", lambda path, fail_fast: corpus.CorpusReader(next(paths), fail_fast))
+        out = tmp_path / "out"
+        code, text, err = run(
+            ["sample", "--corpus", str(first), "--out", str(out), "--keywords", "tweeted", "-n", "6"], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert f"{expected_id!r}" in err
+        assert text == ""
+        assert list(out.iterdir()) == []
 
     def test_fewer_than_keywords_is_validation_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -693,15 +739,15 @@ class TestUsage:
         calls = Counter()
 
         def counted(*args, **kwargs):
-            calls["ingest"] += 1
-            return ingest(*args, **kwargs)
+            calls["reader"] += 1
+            return corpus.CorpusReader(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "ingest", counted)
+        monkeypatch.setattr(cli, "CorpusReader", counted)
         code, _, err = run(
             ["analyze", "--corpus", str(GOLDEN_CORPUS), "--out", str(tmp_path / "out"), "--top-k", "0"],
             capsys,
         )
         assert code == cli.EXIT_VALIDATION
         assert "--top-k" in err
-        assert calls["ingest"] == 0
+        assert calls["reader"] == 0
         assert not (tmp_path / "out").exists()

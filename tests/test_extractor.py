@@ -389,7 +389,7 @@ class TestIterExtractIsLazy:
     def test_serial_reads_one_article_per_result(self, pattern_set):
         corpus = random_corpus(random.Random(8), 30)
         pulled, results = [], []
-        for result in iter_extract(self.counting(corpus, pulled), pattern_set):
+        for _, result in iter_extract(self.counting(corpus, pulled), pattern_set):
             results.append(result)
             assert len(pulled) == len(results)
         assert results == extract_corpus(corpus, pattern_set)
@@ -400,7 +400,7 @@ class TestIterExtractIsLazy:
         window = 3 * 2 * 2
         corpus = random_corpus(random.Random(9), 61)
         pulled, results, ahead = [], [], []
-        for result in iter_extract(self.counting(corpus, pulled), pattern_set, workers=2):
+        for _, result in iter_extract(self.counting(corpus, pulled), pattern_set, workers=2):
             results.append(result)
             ahead.append(len(pulled) - len(results))
         assert max(ahead) < window
@@ -413,15 +413,25 @@ class TestIterExtractIsLazy:
         before = set(multiprocessing.active_children())
         corpus = random_corpus(random.Random(10), 200)
         pulled = []
-        results = iter_extract(self.counting(corpus, pulled), pattern_set, workers=2)
-        assert next(results) == extract_mentions(corpus.articles[0], pattern_set)
+        pairs = iter_extract(self.counting(corpus, pulled), pattern_set, workers=2)
+        assert next(pairs) == (corpus.articles[0], extract_mentions(corpus.articles[0], pattern_set))
         workers = set(multiprocessing.active_children()) - before
         assert workers
-        results.close()
+        pairs.close()
         for worker in workers:
             worker.join(timeout=10)
         assert not [worker for worker in workers if worker.is_alive()]
         assert len(pulled) <= 3 * 2 * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_iter_extract_pairs_each_article_with_its_own_result(pattern_set, monkeypatch, workers):
+    monkeypatch.setattr(extractor, "CHUNK_ARTICLES", 7)  # several chunks, the last one short
+    corpus = random_corpus(random.Random(11), 50)
+    pairs = list(iter_extract(iter(corpus), pattern_set, workers=workers))
+    assert [article for article, _ in pairs] == list(corpus.articles)
+    assert all(result.article_id == article.id for article, result in pairs)
+    assert [result for _, result in pairs] == [extract_mentions(a, pattern_set) for a in corpus]
 
 
 class TestProperties:

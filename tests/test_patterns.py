@@ -32,7 +32,7 @@ class TestLoadPatterns:
     def test_minimal_file(self, tmp_path):
         path = write_tsv(tmp_path / "p.tsv", ["twitter\tshe tweeted", "facebook\tposted on facebook"])
         ps = load_patterns(path)
-        assert len(ps) == 2
+        assert len(ps.patterns) == 2
         assert ps.count(Platform.TWITTER) == 1
 
     def test_duplicate_rejected(self, tmp_path):
@@ -47,6 +47,19 @@ class TestLoadPatterns:
         path = write_tsv(tmp_path / "p.tsv", ["myspace\tposted on myspace"])
         with pytest.raises(PatternFileError, match="line 1"):
             load_patterns(path)
+
+    def test_invalid_utf8_names_line_and_byte(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_bytes(b"# version: x\r\ntwitter\tshe tw\xffeeted\nfacebook\tposted on facebook\n")
+        with pytest.raises(PatternFileError, match=r"^line 2: invalid UTF-8 at byte offset 14$"):
+            load_patterns(path)
+
+    def test_crlf_lines_load_as_lf_lines(self, tmp_path):
+        lf = write_tsv(tmp_path / "lf.tsv", ["# version: v1", "twitter\tshe tweeted\tleft", "facebook\tposted on facebook"])
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_patterns(crlf).patterns == load_patterns(lf).patterns
+        assert load_patterns(crlf).version == "v1"
 
     def test_empty_file_rejected(self, tmp_path):
         path = write_tsv(tmp_path / "p.tsv", ["# only a comment"])
