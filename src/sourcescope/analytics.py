@@ -72,28 +72,20 @@ def accumulate(
     return acc
 
 
-def _grouped(counter: Counter, *by: str, **where) -> Counter:
-    """Sum the counts whose key fields equal `where`, grouped by the `by` fields.
+def _grouped(counter: Counter, *by: str, media: Optional[str] = None) -> Counter:
+    """Sum the counts of one media type, or of every article for None, grouped by the `by` fields.
 
     Fields are named as in _FIELDS. A group is keyed by its one `by` value,
     by the tuple of them for several, or by () for none (the total).
     """
     group_of = itemgetter(*(_FIELDS[name] for name in by)) if by else (lambda key: ())
-    tests = [(_FIELDS[name], value) for name, value in where.items()]
+    at = _FIELDS["media"]
     groups: dict = {}  # a plain dict sums faster than a Counter
     for key, count in counter.items():
-        for at, value in tests:
-            if key[at] != value:
-                break
-        else:
+        if media is None or key[at] == media:
             group = group_of(key)
             groups[group] = groups.get(group, 0) + count
     return Counter(groups)
-
-
-def _media_filter(media: Optional[str]) -> dict:
-    """The `where` fields that select one media type, or every article for None."""
-    return {} if media is None else {"media": media}
 
 
 # --- media report (usage by media type and platform) ---
@@ -127,11 +119,10 @@ class MediaReport:
 
 def _media_row(acc: StatsAccumulator, media: Optional[str]) -> MediaRow:
     """The row of one media type, or of the whole corpus for None."""
-    where = _media_filter(media)
-    total_articles = _grouped(acc.article_count, **where)[()]
-    with_mention = _grouped(acc.articles_with_mention, **where)[()]
-    mentions = _grouped(acc.mentions, "platform", "kind", **where)
-    platform_articles = _grouped(acc.platform_articles, "platform", **where)
+    total_articles = _grouped(acc.article_count, media=media)[()]
+    with_mention = _grouped(acc.articles_with_mention, media=media)[()]
+    mentions = _grouped(acc.mentions, "platform", "kind", media=media)
+    platform_articles = _grouped(acc.platform_articles, "platform", media=media)
 
     kinds = {p.value: {kind: mentions[p.value, kind.value] for kind in KIND_ORDER} for p in Platform}
     totals = {p: sum(counts.values()) for p, counts in kinds.items()}
@@ -181,9 +172,8 @@ class TrendReport:
 
 def trend_report(acc: StatsAccumulator) -> TrendReport:
     def rows_for(media: Optional[str]) -> list[TrendRow]:
-        where = _media_filter(media)
-        articles = _grouped(acc.article_count, "year", **where)
-        with_mention = _grouped(acc.articles_with_mention, "year", **where)
+        articles = _grouped(acc.article_count, "year", media=media)
+        with_mention = _grouped(acc.articles_with_mention, "year", media=media)
         label = "all" if media is None else media
         return [
             TrendRow(year, label, count, with_mention[year], pct(with_mention[year], count))
@@ -305,7 +295,7 @@ class TopicLabeler(Protocol):
 
 
 class LabelerError(RuntimeError):
-    """Remote labeler failure after the configured number of attempts."""
+    """Remote labeler failure, with the number of attempts it made."""
 
     def __init__(self, message: str, attempts: int):
         super().__init__(message, attempts)  # both, so that the error unpickles
@@ -362,6 +352,8 @@ class KeywordTopicLabeler:
         return max(sorted(counts), key=counts.__getitem__, default=None)
 
 
+ATTEMPTS = 3
+TIMEOUT_S = 10.0  # per attempt
 # pause before the second attempt; each later pause doubles, up to the cap
 BACKOFF_FIRST_S = 0.5
 BACKOFF_MAX_S = 4.0
@@ -370,11 +362,9 @@ BACKOFF_MAX_S = 4.0
 class RemoteTopicLabeler:
     """HTTP client: POST the article text, the response body is the label."""
 
-    def __init__(self, url: str, token: Optional[str] = None, retries: int = 3, timeout: float = 10.0):
+    def __init__(self, url: str, token: Optional[str] = None):
         self.url = url
         self.token = token
-        self.retries = retries
-        self.timeout = timeout
 
     def label(self, text: str) -> Optional[str]:
         headers = {"Content-Type": "text/plain; charset=utf-8"}
@@ -382,16 +372,20 @@ class RemoteTopicLabeler:
             headers["Authorization"] = f"Bearer {self.token}"
         last_error: Optional[Exception] = None
         attempt = 0
-        for attempt in range(1, self.retries + 1):
+        for attempt in range(1, ATTEMPTS + 1):
             if attempt > 1:
                 time.sleep(min(BACKOFF_FIRST_S * 2 ** (attempt - 2), BACKOFF_MAX_S))
             request = urllib.request.Request(
                 self.url, data=text.encode("utf-8"), headers=headers, method="POST"
             )
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
                     body = response.read().decode("utf-8").strip()
                     return body or None
+            except UnicodeDecodeError as exc:  # the same answer would not decode on a retry
+                raise LabelerError(
+                    f"remote labeler at {self.url} answered with invalid UTF-8 at byte offset {exc.start}", attempt
+                ) from None
             except (urllib.error.URLError, OSError) as exc:
                 last_error = exc
                 if isinstance(exc, urllib.error.HTTPError):
@@ -413,40 +407,32 @@ def label_topic(article: Article, labeler: Optional[TopicLabeler] = None) -> Opt
 # --- report writers ---
 
 
-def write_media_csv(report: MediaReport, path) -> None:
-    columns = [
-        "media_type", "total_articles", "articles_with_mention", "articles_with_mention_pct",
+def _media_cells(row: MediaRow) -> list[tuple[str, str]]:
+    """One media.csv row as (column, cell) pairs, in column order."""
+    cells = [
+        ("media_type", row.media_type),
+        ("total_articles", str(row.total_articles)),
+        ("articles_with_mention", str(row.articles_with_mention)),
+        ("articles_with_mention_pct", fmt2(row.articles_with_mention_pct)),
     ]
-    for platform in Platform:
-        p = platform.value
-        columns += [
-            f"{p}_articles",
-            f"{p}_quotation", f"{p}_quotation_pct",
-            f"{p}_paraphrase", f"{p}_paraphrase_pct",
-            f"{p}_embedding", f"{p}_embedding_pct",
-            f"{p}_total", f"{p}_share_pct",
-        ]
-    columns += ["total_sources", "sources_per_article"]
+    for p, stats in row.platforms.items():
+        cells.append((f"{p}_articles", str(stats.articles)))
+        for kind in KIND_ORDER:
+            cells.append((f"{p}_{kind.value}", str(stats.kinds[kind])))
+            cells.append((f"{p}_{kind.value}_pct", fmt2(stats.kind_pct[kind])))
+        cells.append((f"{p}_total", str(stats.total)))
+        cells.append((f"{p}_share_pct", fmt2(stats.share_pct)))
+    cells.append(("total_sources", str(row.total_sources)))
+    cells.append(("sources_per_article", fmt2(row.sources_per_article)))
+    return cells
+
+
+def write_media_csv(report: MediaReport, path) -> None:
+    rows = [_media_cells(row) for row in [*report.rows.values(), report.overall]]
     with atomic_open(path) as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in list(report.rows.values()) + [report.overall]:
-            cells = [
-                row.media_type,
-                str(row.total_articles),
-                str(row.articles_with_mention),
-                fmt2(row.articles_with_mention_pct),
-            ]
-            for platform in Platform:
-                stats = row.platforms[platform.value]
-                cells.append(str(stats.articles))
-                for kind in KIND_ORDER:
-                    cells.append(str(stats.kinds[kind]))
-                    cells.append(fmt2(stats.kind_pct[kind]))
-                cells.append(str(stats.total))
-                cells.append(fmt2(stats.share_pct))
-            cells.append(str(row.total_sources))
-            cells.append(fmt2(row.sources_per_article))
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(column for column, _ in rows[0]) + "\n")
+        for cells in rows:
+            fh.write(",".join(cell for _, cell in cells) + "\n")
 
 
 def write_ratio_csv(report: RatioReport, path) -> None:
@@ -473,10 +459,8 @@ def write_topic_csvs(report: TopicReport, top_path, kinds_path) -> None:
                 f"{row.articles_with_mention},{fmt2(row.percentage)}\n"
             )
     with atomic_open(kinds_path) as fh:
-        fh.write(
-            "topic,media_type,articles_with_mention,"
-            "quotation,quotation_pct,paraphrase,paraphrase_pct,embedding,embedding_pct\n"
-        )
+        kind_columns = [column for kind in KIND_ORDER for column in (kind.value, f"{kind.value}_pct")]
+        fh.write(",".join(["topic", "media_type", "articles_with_mention", *kind_columns]) + "\n")
         for row in report.kind_rows:
             cells = [_quoted(row.topic), row.media_type, str(row.articles_with_mention)]
             for kind in KIND_ORDER:

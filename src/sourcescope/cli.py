@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import signal
 import sys
 from contextlib import closing
@@ -34,11 +35,13 @@ def _out_dir(path) -> Path:
 
 
 def _labeler(args: argparse.Namespace):
+    if args.labeler == "remote" and not args.labeler_url:
+        raise ValueError("--labeler remote requires --labeler-url")
+    if args.labeler != "remote" and args.labeler_url:
+        raise ValueError("--labeler-url requires --labeler remote")
     if args.labeler == "keyword":
         return analytics.KeywordTopicLabeler()
     if args.labeler == "remote":
-        if not args.labeler_url:
-            raise ValueError("--labeler remote requires --labeler-url")
         return analytics.RemoteTopicLabeler(args.labeler_url, token=os.environ.get(TOKEN_ENV_VAR))
     return None
 
@@ -161,8 +164,14 @@ def _positive_int(text: str) -> int:
 
 
 def _http_url(text: str) -> str:
-    parts = urlsplit(text)
-    if parts.scheme not in ("http", "https") or not parts.netloc:
+    try:
+        parts = urlsplit(text)
+        valid = parts.scheme in ("http", "https") and bool(parts.hostname)
+        parts.port  # raises ValueError for a port that is not a number from 0 to 65535
+    except ValueError:  # that, or an unclosed "[" around the host
+        valid = False
+    # http.client sends the URL unquoted, and refuses a space, control or non-ASCII character in it
+    if not valid or not re.fullmatch("[!-~]+", text):
         raise argparse.ArgumentTypeError(f"must be an http or https URL, not {text!r}")
     return text
 

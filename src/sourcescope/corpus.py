@@ -77,6 +77,8 @@ def _parse_record(obj: dict, line_number: int) -> tuple[Article, int]:
     art_id = obj["id"]
     if not isinstance(art_id, str) or not art_id:
         raise IngestError(line_number, "id must be a non-empty string")
+    if "\t" in art_id or art_id.splitlines() != [art_id]:  # it would split its sentences.tsv rows
+        raise IngestError(line_number, "id must hold no tab or line break")
 
     mt_raw = obj["media_type"]
     try:
@@ -132,9 +134,9 @@ def _parse_line(raw: bytes, line_number: int) -> Optional[tuple[Article, int]]:
     # a lone surrogate in a field that outputs repeat cannot be written as
     # UTF-8; in text that decoded from UTF-8, only a \u escape can make one
     if "\\u" in line:
-        for key in ("id", "outlet", "headline", "body", "topic", "url"):
+        for key in REQUIRED_KEYS + OPTIONAL_KEYS:
             value = getattr(article, key)
-            if value is not None and _SURROGATE_RE.search(value):
+            if isinstance(value, str) and _SURROGATE_RE.search(value):
                 raise IngestError(line_number, f"{key} holds a lone surrogate escape")
     return article, unknown
 
@@ -197,19 +199,10 @@ def ingest(path: str, fail_fast: bool = True) -> Corpus:
 
 
 def article_to_record(article: Article) -> dict:
-    record = {
-        "id": article.id,
-        "outlet": article.outlet,
-        "media_type": article.media_type.value,
-        "published_at": article.published_at.isoformat(),
-        "headline": article.headline,
-        "body": article.body,
-    }
-    if article.topic is not None:
-        record["topic"] = article.topic
-    if article.url is not None:
-        record["url"] = article.url
-    return record
+    """The corpus record _parse_record reads back as `article`; an absent optional key is left out."""
+    record = {key: getattr(article, key) for key in REQUIRED_KEYS + OPTIONAL_KEYS}
+    record.update(media_type=article.media_type.value, published_at=article.published_at.isoformat())
+    return {key: value for key, value in record.items() if value is not None}
 
 
 def serialize(articles: Iterable[Article], path: str) -> None:

@@ -96,6 +96,7 @@ _BROKEN_FIELDS = (
     ("topic", "3"), ("url", "[]"),
     ("id", r'"a\ud800"'), ("outlet", r'"\udfff Times"'), ("headline", r'"x\uDBFF"'),
     ("body", r'"a lone \ud800 here"'), ("topic", r'"\ud800"'), ("url", r'"http://\udc00"'),
+    ("id", r'"a\tb"'), ("id", r'"a\nb"'), ("id", r'"a\u2028b"'),
 )
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import random_corpus
 
+from sourcescope import analytics
 from sourcescope._fmt import fmt2, round2
 from sourcescope.analytics import (
     TOPIC_KEYWORDS,
@@ -376,6 +377,7 @@ class TestLabelers:
     ):
         requests, slept = [], []
         monkeypatch.setattr(time, "sleep", slept.append)
+        monkeypatch.setattr(analytics, "ATTEMPTS", retries)
 
         class Handler(http.server.BaseHTTPRequestHandler):
             def do_POST(self):
@@ -390,7 +392,7 @@ class TestLabelers:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            labeler = RemoteTopicLabeler(f"http://127.0.0.1:{server.server_port}/label", retries=retries)
+            labeler = RemoteTopicLabeler(f"http://127.0.0.1:{server.server_port}/label")
             with pytest.raises(LabelerError) as exc:
                 labeler.label("text")
         finally:
@@ -401,8 +403,10 @@ class TestLabelers:
         assert str(status) in str(exc.value)
         assert slept == sleeps
 
-    def test_remote_labeler_failure_carries_attempts(self):
-        labeler = RemoteTopicLabeler("http://127.0.0.1:1/label", retries=2, timeout=0.2)
+    def test_remote_labeler_failure_carries_attempts(self, monkeypatch):
+        monkeypatch.setattr(analytics, "ATTEMPTS", 2)
+        monkeypatch.setattr(analytics, "TIMEOUT_S", 0.2)
+        labeler = RemoteTopicLabeler("http://127.0.0.1:1/label")
         with pytest.raises(LabelerError) as exc:
             labeler.label("text")
         assert exc.value.attempts == 2

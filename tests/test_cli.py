@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import http.server
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -534,7 +536,71 @@ class TestAnalyze:
         assert code == cli.EXIT_VALIDATION
         assert "--labeler-url" in err
 
-    @pytest.mark.parametrize("url", ["notaurl", "ftp://127.0.0.1/label", "file:///etc/hosts", "http:label"])
+    @pytest.mark.parametrize("labeler", ["preset", "keyword"])
+    def test_url_without_remote_labeler_is_a_usage_error(self, tmp_path, capsys, labeler):
+        code, out, err = run(
+            [
+                "analyze",
+                "--corpus",
+                str(GOLDEN_CORPUS),
+                "--out",
+                str(tmp_path / "out"),
+                "--labeler",
+                labeler,
+                "--labeler-url",
+                "http://127.0.0.1:1/label",
+            ],
+            capsys,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--labeler-url" in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_labeler_answer_that_is_not_utf8_exits_3_after_one_request(self, tmp_path, capsys):
+        requests = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                requests.append(self.rfile.read(int(self.headers["Content-Length"])))
+                self.send_response(200)
+                self.end_headers()
+                self.wfile.write(b"\xffPolitics")
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{server.server_port}/label"
+        out = tmp_path / "out"
+        try:
+            code, stdout, err = run(
+                ["analyze", "--corpus", str(GOLDEN_CORPUS), "--out", str(out), "--labeler", "remote",
+                 "--labeler-url", url],
+                capsys,
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == cli.EXIT_LABELER
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert url in err and "UTF-8" in err
+        assert len(requests) == 1  # the same answer would not decode on a retry
+        assert stdout == ""
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "notaurl", "ftp://127.0.0.1/label", "file:///etc/hosts", "http:label",
+            "http://:80/label", "http://user@/label", "http://127.0.0.1:abc/label",
+            "http://127.0.0.1:99999/label", "http://[::1/label", "http://127.0.0.1:1/a label",
+            "http://127.0.0.1:1/\tlabel", "http://127.0.0.1:1/étiquette",
+        ],
+    )
     def test_url_that_is_not_http_is_a_usage_error(self, tmp_path, capsys, url):
         code, out, err = run(
             [
