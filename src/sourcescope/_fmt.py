@@ -1,4 +1,4 @@
-"""Shared output helpers: percentages, rounding, and whole-file writes.
+"""Shared output helpers: percentages, rounding, sentences.tsv cells and whole-file writes.
 
 All printed percentages use round-half-away-from-zero to 2 decimals.
 """
@@ -22,6 +22,11 @@ def round2(x: float) -> float:
 
 def fmt2(x: float) -> str:
     return f"{Decimal(repr(float(x))).quantize(Decimal('0.01'), rounding=ROUND_HALF_UP):.2f}"
+
+
+def escape_cell(text: str) -> str:
+    """text as one sentences.tsv cell: tabs and every str.splitlines line boundary become spaces."""
+    return " ".join(text.replace("\t", " ").splitlines())
 
 
 @contextmanager

@@ -302,7 +302,7 @@ class LabelerError(RuntimeError):
         self.attempts = attempts
 
     def __str__(self) -> str:
-        return f"{self.args[0]} (after {self.attempts} attempts)"
+        return f"{self.args[0]} (after {self.attempts} attempt{'' if self.attempts == 1 else 's'})"
 
 
 # offline fallback over the seven analyzed topics

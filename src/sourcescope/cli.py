@@ -12,7 +12,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from sourcescope import analytics, evaluator, extractor
-from sourcescope._fmt import atomic_open
+from sourcescope._fmt import atomic_open, escape_cell
 from sourcescope.corpus import Article, CorpusReader, Rejection, chosen_articles, serialize, stratified_sample
 from sourcescope.patterns import PatternSet, default_patterns, load_patterns
 
@@ -62,16 +62,11 @@ def _articles(reader: CorpusReader):
     return (record for record in reader if isinstance(record, Article))
 
 
-def _escape_cell(text: str) -> str:
-    # every str.splitlines line boundary, and tabs, become spaces
-    return " ".join(text.replace("\t", " ").splitlines())
-
-
 def _writing_sentences(pairs, fh):
     """Pass the results through, writing each article's sentences.tsv rows on the way."""
     for article, result in pairs:
         for index, (start, end) in enumerate(result.sentences):
-            fh.write(f"{article.id}\t{index}\t{_escape_cell(article.body[start:end])}\n")
+            fh.write(f"{article.id}\t{index}\t{escape_cell(article.body[start:end])}\n")
         yield result
 
 

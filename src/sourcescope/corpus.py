@@ -11,7 +11,7 @@ from datetime import date
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from sourcescope._fmt import atomic_open
+from sourcescope._fmt import atomic_open, escape_cell
 from sourcescope.patterns import fold_case
 
 
@@ -24,6 +24,7 @@ REQUIRED_KEYS = ("id", "outlet", "media_type", "published_at", "headline", "body
 OPTIONAL_KEYS = ("topic", "url")
 
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+_ISO_DATE_RE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class IngestError(ValueError):
@@ -66,54 +67,11 @@ class Corpus:
         return iter(self.articles)
 
 
-def _parse_record(obj: dict, line_number: int) -> tuple[Article, int]:
-    """Validate one decoded record; returns (article, unknown-key count)."""
-    if not isinstance(obj, dict):
-        raise IngestError(line_number, "record is not an object")
-    missing = [k for k in REQUIRED_KEYS if k not in obj]
-    if missing:
-        raise IngestError(line_number, f"missing required keys: {', '.join(missing)}")
-
-    art_id = obj["id"]
-    if not isinstance(art_id, str) or not art_id:
-        raise IngestError(line_number, "id must be a non-empty string")
-    if "\t" in art_id or art_id.splitlines() != [art_id]:  # it would split its sentences.tsv rows
-        raise IngestError(line_number, "id must hold no tab or line break")
-
-    mt_raw = obj["media_type"]
-    try:
-        media_type = MediaType(mt_raw)
-    except ValueError:
-        raise IngestError(line_number, f"unknown media_type {mt_raw!r}") from None
-
-    try:
-        published = date.fromisoformat(obj["published_at"])
-    except (TypeError, ValueError):
-        raise IngestError(line_number, f"invalid published_at {obj['published_at']!r}") from None
-
-    for key in ("outlet", "headline", "body"):
-        if not isinstance(obj[key], str):
-            raise IngestError(line_number, f"{key} must be a string")
-    for key in OPTIONAL_KEYS:
-        if key in obj and obj[key] is not None and not isinstance(obj[key], str):
-            raise IngestError(line_number, f"{key} must be a string")
-
-    unknown = sum(1 for k in obj if k not in REQUIRED_KEYS and k not in OPTIONAL_KEYS)
-    article = Article(
-        id=art_id,
-        outlet=obj["outlet"],
-        media_type=media_type,
-        published_at=published,
-        headline=obj["headline"],
-        body=obj["body"],
-        topic=obj.get("topic"),
-        url=obj.get("url"),
-    )
-    return article, unknown
-
-
 def _parse_line(raw: bytes, line_number: int) -> Optional[tuple[Article, int]]:
-    """Decode and validate one corpus line; None for a blank line."""
+    """Decode, check and build one line's article; returns (article, unknown-key count), or None for a blank line.
+
+    The checks run in a fixed order, and the first that fails names the fault.
+    """
     try:
         line = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -130,15 +88,39 @@ def _parse_line(raw: bytes, line_number: int) -> Optional[tuple[Article, int]]:
         raise IngestError(
             line_number, f"malformed record: number of more than {sys.get_int_max_str_digits()} digits"
         ) from None
-    article, unknown = _parse_record(obj, line_number)
+    if not isinstance(obj, dict):
+        raise IngestError(line_number, "record is not an object")
+    missing = [key for key in REQUIRED_KEYS if key not in obj]
+    if missing:
+        raise IngestError(line_number, f"missing required keys: {', '.join(missing)}")
+    fields = {key: obj.get(key) for key in REQUIRED_KEYS + OPTIONAL_KEYS}
+
+    art_id = fields["id"]
+    if not isinstance(art_id, str) or not art_id:
+        raise IngestError(line_number, "id must be a non-empty string")
+    if escape_cell(art_id) != art_id:  # it would split its sentences.tsv rows
+        raise IngestError(line_number, "id must hold no tab or line break")
+    try:
+        media_type = MediaType(fields["media_type"])
+    except ValueError:
+        raise IngestError(line_number, f"unknown media_type {fields['media_type']!r}") from None
+    # exactly YYYY-MM-DD, as date.fromisoformat alone requires only before Python 3.11; no match is a TypeError
+    try:
+        published = date.fromisoformat(_ISO_DATE_RE.fullmatch(fields["published_at"])[0])
+    except (TypeError, ValueError):
+        raise IngestError(line_number, f"invalid published_at {fields['published_at']!r}") from None
+    # those three are strings now; so must the others be, but an optional one may be null
+    for key, value in fields.items():
+        if not isinstance(value, str) and (value is not None or key in REQUIRED_KEYS):
+            raise IngestError(line_number, f"{key} must be a string")
     # a lone surrogate in a field that outputs repeat cannot be written as
     # UTF-8; in text that decoded from UTF-8, only a \u escape can make one
     if "\\u" in line:
-        for key in REQUIRED_KEYS + OPTIONAL_KEYS:
-            value = getattr(article, key)
-            if isinstance(value, str) and _SURROGATE_RE.search(value):
+        for key, value in fields.items():
+            if value and _SURROGATE_RE.search(value):
                 raise IngestError(line_number, f"{key} holds a lone surrogate escape")
-    return article, unknown
+    fields.update(media_type=media_type, published_at=published)
+    return Article(**fields), sum(1 for key in obj if key not in fields)
 
 
 class CorpusReader:
@@ -199,7 +181,7 @@ def ingest(path: str, fail_fast: bool = True) -> Corpus:
 
 
 def article_to_record(article: Article) -> dict:
-    """The corpus record _parse_record reads back as `article`; an absent optional key is left out."""
+    """The corpus record _parse_line reads back as `article`; an absent optional key is left out."""
     record = {key: getattr(article, key) for key in REQUIRED_KEYS + OPTIONAL_KEYS}
     record.update(media_type=article.media_type.value, published_at=article.published_at.isoformat())
     return {key: value for key, value in record.items() if value is not None}

@@ -6,7 +6,7 @@ import json
 import signal
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import islice
 from typing import Iterable, Iterator, Optional
@@ -176,15 +176,9 @@ def extract_corpus(
 
 
 def mention_to_record(mention: SourceMention) -> dict:
-    return {
-        "article_id": mention.article_id,
-        "sentence_index": mention.sentence_index,
-        "platform": mention.platform.value,
-        "kind": mention.kind.value,
-        "pattern_id": mention.pattern_id,
-        "span_start": mention.span_start,
-        "span_end": mention.span_end,
-    }
+    """The mentions.jsonl object of a mention: its fields in declaration order, each enum as its value."""
+    values = ((field.name, getattr(mention, field.name)) for field in fields(mention))
+    return {name: value.value if isinstance(value, Enum) else value for name, value in values}
 
 
 def write_mentions(results, path) -> int:

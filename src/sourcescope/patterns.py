@@ -79,6 +79,20 @@ def _prescreen_words(phrase: str) -> tuple[str, frozenset[str]]:
     return key, frozenset(words)
 
 
+def _check_pattern(pat: CitationPattern, seen: set) -> None:
+    """Raise PatternFileError unless a PatternSet can hold pat beside the (platform, phrase) keys in seen; add pat's."""
+    if not pat.phrase:
+        raise PatternFileError("empty phrase")
+    if pat.phrase != " ".join(pat.phrase.split()) or pat.phrase != pat.phrase.lower():
+        raise PatternFileError(f"phrase {pat.phrase!r} is not normalized lowercase text")
+    if pat.anchored not in ("both", "left"):
+        raise PatternFileError(f"unknown anchored value {pat.anchored!r}")
+    key = (pat.platform, pat.phrase)
+    if key in seen:
+        raise PatternFileError(f"duplicate pattern ({pat.platform.value}, {pat.phrase!r})")
+    seen.add(key)
+
+
 class PatternSet:
     """Immutable collection of citation patterns, validated and pre-compiled."""
 
@@ -87,19 +101,10 @@ class PatternSet:
         if not pats:
             raise PatternFileError("pattern set is empty")
         seen: set[tuple[Platform, str]] = set()
-        platforms_present: set[Platform] = set()
         for pat in pats:
-            if not pat.phrase or pat.phrase != " ".join(pat.phrase.split()) or pat.phrase != pat.phrase.lower():
-                raise PatternFileError(f"phrase {pat.phrase!r} is not normalized lowercase text")
-            if pat.anchored not in ("both", "left"):
-                raise PatternFileError(f"unknown anchored value {pat.anchored!r}")
-            key = (pat.platform, pat.phrase)
-            if key in seen:
-                raise PatternFileError(f"duplicate pattern ({pat.platform.value}, {pat.phrase!r})")
-            seen.add(key)
-            platforms_present.add(pat.platform)
+            _check_pattern(pat, seen)
         for platform in Platform:
-            if platform not in platforms_present:
+            if all(pat.platform != platform for pat in pats):
                 raise PatternFileError(f"pattern set has no {platform.value} patterns")
 
         self.patterns = pats
@@ -127,6 +132,7 @@ def load_patterns(path) -> PatternSet:
     version = "unversioned"
     counters = {Platform.FACEBOOK: 0, Platform.TWITTER: 0}
     prefix = {Platform.FACEBOOK: "fb", Platform.TWITTER: "tw"}
+    seen: set[tuple[Platform, str]] = set()
 
     with open(path, "rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
@@ -150,20 +156,14 @@ def load_patterns(path) -> PatternSet:
             except ValueError:
                 raise PatternFileError(f"line {line_number}: unknown platform {platform_raw!r}") from None
             phrase = " ".join(fields[1].strip().lower().split())
-            if not phrase:
-                raise PatternFileError(f"line {line_number}: empty phrase")
             anchored = fields[2].strip().lower() if len(fields) == 3 and fields[2].strip() else "both"
-            if anchored not in ("both", "left"):
-                raise PatternFileError(f"line {line_number}: unknown anchored value {anchored!r}")
             counters[platform] += 1
-            patterns.append(
-                CitationPattern(
-                    id=f"{prefix[platform]}-{counters[platform]:03d}",
-                    platform=platform,
-                    phrase=phrase,
-                    anchored=anchored,
-                )
-            )
+            pattern = CitationPattern(f"{prefix[platform]}-{counters[platform]:03d}", platform, phrase, anchored)
+            try:
+                _check_pattern(pattern, seen)
+            except PatternFileError as exc:
+                raise PatternFileError(f"line {line_number}: {exc}") from None
+            patterns.append(pattern)
 
     return PatternSet(patterns, version=version)
 

@@ -92,7 +92,8 @@ _FUZZ_RECORD = {
 _BROKEN_FIELDS = (
     ("id", None), ("id", '""'), ("id", "7"), ("outlet", None), ("outlet", "null"),
     ("media_type", '"satire"'), ("media_type", "[1]"), ("published_at", '"May 4, 2016"'),
-    ("published_at", "20160504"), ("headline", "{}"), ("body", "1.5"), ("body", None),
+    ("published_at", "20160504"), ("published_at", '"20160504"'), ("published_at", '"2016-W18-3"'),
+    ("headline", "{}"), ("body", "1.5"), ("body", None),
     ("topic", "3"), ("url", "[]"),
     ("id", r'"a\ud800"'), ("outlet", r'"\udfff Times"'), ("headline", r'"x\uDBFF"'),
     ("body", r'"a lone \ud800 here"'), ("topic", r'"\ud800"'), ("url", r'"http://\udc00"'),

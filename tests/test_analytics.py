@@ -412,10 +412,11 @@ class TestLabelers:
         assert exc.value.attempts == 2
 
     def test_labeler_error_survives_pickling(self):
-        error = LabelerError("remote labeler failed", 2)
-        copy = pickle.loads(pickle.dumps(error))
-        assert str(copy) == str(error) == "remote labeler failed (after 2 attempts)"
-        assert copy.attempts == 2
+        for attempts, after in [(2, "after 2 attempts"), (1, "after 1 attempt")]:
+            error = LabelerError("remote labeler failed", attempts)
+            copy = pickle.loads(pickle.dumps(error))
+            assert str(copy) == str(error) == f"remote labeler failed ({after})"
+            assert copy.attempts == attempts
 
 
 # one regex search per keyword, the direct reading of the labeling rule: the oracle

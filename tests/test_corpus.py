@@ -1,10 +1,12 @@
 import json
 import random
+from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
 
 from sourcescope.corpus import (
+    OPTIONAL_KEYS,
     Article,
     Corpus,
     CorpusReader,
@@ -20,7 +22,7 @@ from sourcescope.analytics import accumulate
 from sourcescope.extractor import ExtractionResult, extract_mentions
 from sourcescope.patterns import default_patterns, fold_case
 
-from conftest import fuzz_corpus_lines
+from conftest import fuzz_corpus_lines, random_corpus
 
 VALID = {
     "id": "a1",
@@ -178,6 +180,41 @@ def test_roundtrip_identity(tmp_path):
     serialize(corpus, out)
     again = ingest(out)
     assert again.articles == corpus.articles
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_records_survive_a_round_trip(tmp_path, seed):
+    rng = random.Random(seed)
+    articles = [
+        replace(
+            article,
+            outlet=rng.choice([article.outlet, "Zürcher Blatt", "東京新聞"]),
+            headline=rng.choice([article.headline, "Ça va — “oui”"]),
+            url=rng.choice([None, "https://example.com/a?b=1", "https://example.com/ü"]),
+        )
+        for article in random_corpus(rng, 60)
+    ]
+    first = tmp_path / "first.jsonl"
+    serialize(articles, first)
+    # the same records as another writer may put them: an absent optional key
+    # written as null, and non-ASCII text as \u escapes
+    lines = []
+    for line in first.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        for key in OPTIONAL_KEYS:
+            if key not in record and rng.random() < 0.5:
+                record[key] = None
+        lines.append(json.dumps(record, ensure_ascii=rng.random() < 0.5))
+    other = tmp_path / "other.jsonl"
+    other.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    for path in (first, other):
+        records, reader = read_records(path)
+        assert records == articles
+        assert reader.unknown_key_warnings == 0
+        again = tmp_path / "again.jsonl"
+        serialize(records, again)
+        assert again.read_bytes() == first.read_bytes()
 
 
 def make_article(i, body, media=MediaType.MAINSTREAM, published=date(2015, 6, 15)):

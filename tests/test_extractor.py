@@ -484,8 +484,8 @@ class TestProperties:
 def test_mention_record_schema(pattern_set):
     result = extract_mentions(article('"Done," she tweeted.'), pattern_set)
     record = mention_to_record(result.mentions[0])
-    assert set(record) == {
+    assert list(record) == [
         "article_id", "sentence_index", "platform", "kind", "pattern_id", "span_start", "span_end",
-    }
+    ]
     assert record["platform"] == "twitter"
     assert record["kind"] == "quotation"

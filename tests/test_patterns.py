@@ -40,7 +40,10 @@ class TestLoadPatterns:
             tmp_path / "p.tsv",
             ["twitter\tshe tweeted", "facebook\tposted on facebook", "twitter\tshe  tweeted"],
         )
-        with pytest.raises(PatternFileError, match="duplicate"):
+        with pytest.raises(PatternFileError, match=r"^line 3: duplicate pattern \(twitter, 'she tweeted'\)$"):
+            load_patterns(path)
+        path = write_tsv(tmp_path / "p.tsv", ["twitter\tshe tweeted", "TWITTER\tShe Tweeted\tleft"])
+        with pytest.raises(PatternFileError, match="^line 2: duplicate"):
             load_patterns(path)
 
     def test_unknown_platform_names_line(self, tmp_path):
