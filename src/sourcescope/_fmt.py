@@ -45,3 +45,12 @@ def atomic_open(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_lines(path, lines) -> int:
+    """Write each line, then a newline, as the whole file at `path` (via atomic_open); returns the line count."""
+    count = 0
+    with atomic_open(path) as fh:
+        for count, line in enumerate(lines, start=1):
+            fh.write(f"{line}\n")
+    return count

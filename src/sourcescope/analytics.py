@@ -13,7 +13,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Optional, Protocol
 
-from sourcescope._fmt import atomic_open, fmt2, pct, round2
+from sourcescope._fmt import fmt2, pct, round2, write_lines
 from sourcescope.corpus import Article, MediaType
 from sourcescope.extractor import KIND_ORDER, ExtractionResult
 from sourcescope.patterns import Platform, fold_case
@@ -429,20 +429,17 @@ def _media_cells(row: MediaRow) -> list[tuple[str, str]]:
 
 def write_media_csv(report: MediaReport, path) -> None:
     rows = [_media_cells(row) for row in [*report.rows.values(), report.overall]]
-    with atomic_open(path) as fh:
-        fh.write(",".join(column for column, _ in rows[0]) + "\n")
-        for cells in rows:
-            fh.write(",".join(cell for _, cell in cells) + "\n")
+    header = ",".join(column for column, _ in rows[0])
+    write_lines(path, [header] + [",".join(cell for _, cell in cells) for cells in rows])
 
 
 def write_ratio_csv(report: RatioReport, path) -> None:
-    with atomic_open(path) as fh:
-        fh.write("media_type,direct_quote_total,avg_quotes_per_article,sm_source_total,ratio\n")
-        for row in report.rows.values():
-            fh.write(
-                f"{row.media_type},{row.direct_quote_total},{fmt2(row.avg_quotes_per_article)},"
-                f"{row.sm_source_total},{row.ratio_label}\n"
-            )
+    rows = (
+        f"{row.media_type},{row.direct_quote_total},{fmt2(row.avg_quotes_per_article)},"
+        f"{row.sm_source_total},{row.ratio_label}"
+        for row in report.rows.values()
+    )
+    write_lines(path, ["media_type,direct_quote_total,avg_quotes_per_article,sm_source_total,ratio", *rows])
 
 
 def _quoted(text: str) -> str:
@@ -451,28 +448,22 @@ def _quoted(text: str) -> str:
 
 
 def write_topic_csvs(report: TopicReport, top_path, kinds_path) -> None:
-    with atomic_open(top_path) as fh:
-        fh.write("media_type,topic,article_count,articles_with_mention,percentage\n")
-        for row in report.top_rows:
-            fh.write(
-                f"{row.media_type},{_quoted(row.topic)},{row.article_count},"
-                f"{row.articles_with_mention},{fmt2(row.percentage)}\n"
-            )
-    with atomic_open(kinds_path) as fh:
-        kind_columns = [column for kind in KIND_ORDER for column in (kind.value, f"{kind.value}_pct")]
-        fh.write(",".join(["topic", "media_type", "articles_with_mention", *kind_columns]) + "\n")
-        for row in report.kind_rows:
-            cells = [_quoted(row.topic), row.media_type, str(row.articles_with_mention)]
-            for kind in KIND_ORDER:
-                cells.append(str(row.kinds[kind]))
-                cells.append(fmt2(row.kind_pct[kind]))
-            fh.write(",".join(cells) + "\n")
+    top_rows = (
+        f"{row.media_type},{_quoted(row.topic)},{row.article_count},"
+        f"{row.articles_with_mention},{fmt2(row.percentage)}"
+        for row in report.top_rows
+    )
+    write_lines(top_path, ["media_type,topic,article_count,articles_with_mention,percentage", *top_rows])
+    kind_columns = [column for kind in KIND_ORDER for column in (kind.value, f"{kind.value}_pct")]
+    kind_lines = [",".join(["topic", "media_type", "articles_with_mention", *kind_columns])]
+    for row in report.kind_rows:
+        counts = [cell for kind in KIND_ORDER for cell in (str(row.kinds[kind]), fmt2(row.kind_pct[kind]))]
+        kind_lines.append(",".join([_quoted(row.topic), row.media_type, str(row.articles_with_mention), *counts]))
+    write_lines(kinds_path, kind_lines)
 
 
 def write_trend_tsv(report: TrendReport, path) -> None:
-    with atomic_open(path) as fh:
-        for row in report.by_media:
-            fh.write(f"{row.year}\t{row.media_type}\t{fmt2(row.percentage)}\n")
+    write_lines(path, (f"{row.year}\t{row.media_type}\t{fmt2(row.percentage)}" for row in report.by_media))
 
 
 def _plain(value):
@@ -515,6 +506,4 @@ def summary_object(
 
 
 def write_summary_json(summary: dict, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(summary, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(path, [json.dumps(summary, ensure_ascii=False, indent=2, sort_keys=True)])

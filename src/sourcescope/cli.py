@@ -7,12 +7,13 @@ import os
 import re
 import signal
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from pathlib import Path
 from urllib.parse import urlsplit
 
 from sourcescope import analytics, evaluator, extractor
-from sourcescope._fmt import atomic_open, escape_cell
+from sourcescope._fmt import atomic_open, escape_cell, fmt2
 from sourcescope.corpus import Article, CorpusReader, Rejection, chosen_articles, serialize, stratified_sample
 from sourcescope.patterns import PatternSet, default_patterns, load_patterns
 
@@ -62,6 +63,21 @@ def _articles(reader: CorpusReader):
     return (record for record in reader if isinstance(record, Article))
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _extracted(reader: CorpusReader, pattern_set: PatternSet, args: argparse.Namespace):
+    """The (article, result) pairs of the accepted articles, from at most one worker per usable CPU.
+
+    Closing it stops the extraction, cancelling the work still pending.
+    """
+    workers = min(args.parallel, _usable_cpus())
+    return closing(extractor.iter_extract(_articles(reader), pattern_set, workers=workers))
+
+
 def _writing_sentences(pairs, fh):
     """Pass the results through, writing each article's sentences.tsv rows on the way."""
     for article, result in pairs:
@@ -74,8 +90,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     pattern_set = _load_patterns(args.patterns)
     with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
         out = _out_dir(args.out)
-        with closing(extractor.iter_extract(_articles(reader), pattern_set, workers=args.parallel)) as pairs, \
-                atomic_open(out / "sentences.tsv") as fh:
+        with _extracted(reader, pattern_set, args) as pairs, atomic_open(out / "sentences.tsv") as fh:
             mention_count = extractor.write_mentions(_writing_sentences(pairs, fh), out / "mentions.jsonl")
     print(f"{reader.accepted} articles processed, {mention_count} mentions")
     print(f"pattern set version: {pattern_set.version}")
@@ -87,7 +102,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pattern_set = _load_patterns(args.patterns)
     with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
         out = _out_dir(args.out)
-        with closing(extractor.iter_extract(_articles(reader), pattern_set, workers=args.parallel)) as pairs:
+        with _extracted(reader, pattern_set, args) as pairs:
             predicted = [m for _, result in pairs for m in result.mentions]
 
     counts = evaluator.compare(predicted, gold)
@@ -96,7 +111,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     evaluator.write_report_csv(report, out / "evaluation.csv", note=note)
 
     for label, row in evaluator.report_rows(report):
-        print(f"{label}: P={row.precision:.2f} R={row.recall:.2f} F1={row.f1:.2f}")
+        print(f"{label}: P={fmt2(row.precision)} R={fmt2(row.recall)} F1={fmt2(row.f1)}")
     if note:
         print(note)
     return EXIT_OK
@@ -107,8 +122,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     pattern_set = _load_patterns(args.patterns)
     with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
         out = _out_dir(args.out)
-        # a labeler failure stops the extraction at once: closing it cancels the pending work
-        with closing(extractor.iter_extract(_articles(reader), pattern_set, workers=args.parallel)) as pairs:
+        # a labeler failure stops the extraction at once
+        with _extracted(reader, pattern_set, args) as pairs:
             acc = analytics.accumulate(pairs, labeler)
     media = analytics.media_report(acc)
     trend = analytics.trend_report(acc)
@@ -125,7 +140,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     overall = media.overall
     print(
         f"{overall.total_articles} articles, {overall.articles_with_mention} with a source "
-        f"({overall.articles_with_mention_pct:.2f}%), {overall.total_sources} sources"
+        f"({fmt2(overall.articles_with_mention_pct)}%), {overall.total_sources} sources"
     )
     return EXIT_OK
 
@@ -217,6 +232,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenProcessPool as exc:  # a worker died, killed or out of memory
+        print(f"error: extraction worker died: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

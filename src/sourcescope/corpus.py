@@ -11,7 +11,7 @@ from datetime import date
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from sourcescope._fmt import atomic_open, escape_cell
+from sourcescope._fmt import escape_cell, write_lines
 from sourcescope.patterns import fold_case
 
 
@@ -189,10 +189,7 @@ def article_to_record(article: Article) -> dict:
 
 def serialize(articles: Iterable[Article], path: str) -> None:
     """Write articles, such as a Corpus, one JSON object per line, in the order given."""
-    with atomic_open(path) as fh:
-        for article in articles:
-            fh.write(json.dumps(article_to_record(article), ensure_ascii=False))
-            fh.write("\n")
+    write_lines(path, (json.dumps(article_to_record(article), ensure_ascii=False) for article in articles))
 
 
 def stratified_sample(

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from sourcescope._fmt import atomic_open, fmt2, pct
+from sourcescope._fmt import fmt2, pct, write_lines
 from sourcescope.extractor import KIND_ORDER, Kind, SourceMention
 from sourcescope.patterns import Platform
 
@@ -190,9 +190,6 @@ def report_rows(report: EvalReport) -> list[tuple[str, MetricRow]]:
 
 def write_report_csv(report: EvalReport, path, note: Optional[str] = None) -> None:
     """CSV header and one row per report_rows entry, then the note as a comment."""
-    with atomic_open(path) as fh:
-        fh.write("category,precision,recall,f1\n")
-        for label, row in report_rows(report):
-            fh.write(f"{label},{fmt2(row.precision)},{fmt2(row.recall)},{fmt2(row.f1)}\n")
-        if note:
-            fh.write(f"# {note}\n")
+    rows = [f"{label},{fmt2(row.precision)},{fmt2(row.recall)},{fmt2(row.f1)}" for label, row in report_rows(report)]
+    comment = [f"# {note}"] if note else []
+    write_lines(path, ["category,precision,recall,f1", *rows, *comment])

@@ -11,7 +11,7 @@ from enum import Enum
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
-from sourcescope._fmt import atomic_open
+from sourcescope._fmt import write_lines
 from sourcescope.corpus import Article
 from sourcescope.patterns import (
     PatternSet,
@@ -183,11 +183,5 @@ def mention_to_record(mention: SourceMention) -> dict:
 
 def write_mentions(results, path) -> int:
     """Write all mentions as line-delimited JSON; returns the mention count."""
-    count = 0
-    with atomic_open(path) as fh:
-        for result in results:
-            for mention in result.mentions:
-                fh.write(json.dumps(mention_to_record(mention), ensure_ascii=False))
-                fh.write("\n")
-                count += 1
-    return count
+    mentions = (mention for result in results for mention in result.mentions)
+    return write_lines(path, (json.dumps(mention_to_record(mention), ensure_ascii=False) for mention in mentions))

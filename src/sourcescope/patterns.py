@@ -267,23 +267,19 @@ def _is_apostrophe(text: str, pos: int) -> bool:
 def contains_quote_signs(sentence: str) -> bool:
     """True iff the sentence contains a mark from the quote-mark table.
 
-    Straight single quotes count only when used as a pair, and a mark
-    flanked by letters is an apostrophe, never a quote sign.
+    The marks ' and ’ double as apostrophes, so they count only in twos,
+    and only where not flanked by letters or digits: a lone possessive
+    ("the players’ union") is no quote sign.
     """
     single_candidates = 0
     for m in _MARK_RE.finditer(sentence):
         mark = m.group()
         if mark in _ALWAYS_QUOTE_MARKS:
             return True
-        if mark == "’":
-            if not _is_apostrophe(sentence, m.start()):
+        if not _is_apostrophe(sentence, m.start()):
+            single_candidates += 1
+            if single_candidates >= 2:
                 return True
-            continue
-        if mark == "'":
-            if not _is_apostrophe(sentence, m.start()):
-                single_candidates += 1
-                if single_candidates >= 2:
-                    return True
     return False
 
 

@@ -75,6 +75,14 @@ def _kill_quietly(pid) -> None:
         pass
 
 
+def write_one_in_32(path, cited_body, other_body):
+    """A 32-article 2016 mainstream corpus whose first article alone has cited_body: 1/32 is 3.125 %."""
+    records = [dict(GOOD_RECORD, id=f"a{i:02d}", body=other_body) for i in range(32)]
+    records[0]["body"] = cited_body
+    write_jsonl(path, records)
+    return path
+
+
 class TestIngest:
     def test_clean_corpus(self, tmp_path, capsys):
         code, out, _ = run(["ingest", "--corpus", str(GOLDEN_CORPUS)], capsys)
@@ -307,6 +315,66 @@ class TestExtract:
         assert sorted(path.name for path in out.iterdir()) == []
         assert workers and not [pid for pid in workers if _alive(pid)]
 
+    def test_worker_killed_mid_run_is_one_error_line(self, tmp_path):
+        corpus_path = tmp_path / "corpus.jsonl"
+        serialize(random_corpus(random.Random(6), 20000), corpus_path)
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sourcescope.cli", "extract", "--corpus", str(corpus_path),
+             "--out", str(out), "--parallel", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        workers: list = []
+        try:
+            deadline = time.monotonic() + 60
+            while proc.poll() is None and time.monotonic() < deadline:
+                workers = _live_children(proc.pid)
+                if len(workers) == 2 and out.is_dir() and any(out.glob(".*.tmp")):
+                    os.kill(workers[0], signal.SIGKILL)
+                    break
+                time.sleep(0.01)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            for pid in _live_children(proc.pid) + workers:
+                _kill_quietly(pid)
+            proc.kill()
+            proc.wait()
+        if proc.returncode == cli.EXIT_OK:  # finished before a worker could be killed
+            assert sorted(path.name for path in out.iterdir()) == ["mentions.jsonl", "sentences.tsv"]
+            return
+        assert proc.returncode == cli.EXIT_IO
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert sorted(path.name for path in out.iterdir()) == []
+        assert workers and not [pid for pid in workers if _alive(pid)]
+
+    @pytest.mark.parametrize(
+        "parallel, cpus, expected", [("100000", 1, 1), ("3", 2, 2), ("2", 2, 2), ("1", 2, 1)]
+    )
+    def test_parallel_is_capped_at_the_usable_cpus(self, tmp_path, capsys, monkeypatch, parallel, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        asked = []
+
+        def recording(articles, pattern_set, workers=1):
+            asked.append(workers)
+            return ((article, extractor.extract_mentions(article, pattern_set)) for article in articles)
+
+        monkeypatch.setattr(extractor, "iter_extract", recording)
+        for command in (["extract"], ["evaluate", "--gold", str(GOLDEN_GOLD)], ["analyze"]):
+            code, _, _ = run(
+                command + ["--corpus", str(GOLDEN_CORPUS), "--out", str(tmp_path / "out"), "--parallel", parallel],
+                capsys,
+            )
+            assert code == cli.EXIT_OK
+        assert asked == [expected] * 3
+
+    def test_usable_cpus_without_affinity_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_missing_corpus_exits_before_out_is_created(self, tmp_path, capsys, workers):
         out = tmp_path / "out"
@@ -423,7 +491,45 @@ class TestEvaluate:
         assert "gold line 3" in err
 
 
+    def test_printed_scores_round_as_the_csv_does(self, tmp_path, capsys):
+        corpus_path = write_one_in_32(tmp_path / "corpus.jsonl", GOOD_RECORD["body"], GOOD_RECORD["body"])
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(gold, [{"article_id": "a00", "sentence_index": 0, "platform": "twitter", "kind": "paraphrase"}])
+        out = tmp_path / "out"
+        code, text, _ = run(
+            ["evaluate", "--corpus", str(corpus_path), "--gold", str(gold), "--out", str(out)], capsys
+        )
+        assert code == cli.EXIT_OK
+        assert "Paraphrase: P=3.13 R=100.00 F1=6.06" in text.splitlines()
+        assert "Micro-average: P=3.13 R=100.00 F1=6.06" in text.splitlines()
+        rows = (out / "evaluation.csv").read_text(encoding="utf-8").splitlines()
+        assert "Paraphrase,3.13,100.00,6.06" in rows
+
+    def test_transposition_note_ends_stdout_and_the_csv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(evaluator, "f1_transposition_note", lambda report: "note: cells transposed")
+        out = tmp_path / "out"
+        code, text, _ = run(
+            ["evaluate", "--corpus", str(GOLDEN_CORPUS), "--gold", str(GOLDEN_GOLD), "--out", str(out)], capsys
+        )
+        assert code == cli.EXIT_OK
+        assert text.splitlines()[-1] == "note: cells transposed"
+        assert (out / "evaluation.csv").read_text(encoding="utf-8").splitlines()[-1] == "# note: cells transposed"
+
+
 class TestAnalyze:
+    def test_printed_share_rounds_as_the_files_do(self, tmp_path, capsys):
+        corpus_path = write_one_in_32(tmp_path / "corpus.jsonl", GOOD_RECORD["body"], "The council met on Monday.")
+        out = tmp_path / "out"
+        code, text, _ = run(["analyze", "--corpus", str(corpus_path), "--out", str(out)], capsys)
+        assert code == cli.EXIT_OK
+        assert text.splitlines()[-1] == "32 articles, 1 with a source (3.13%), 1 sources"
+        with open(out / "media.csv", newline="", encoding="utf-8") as fh:
+            overall = list(csv.DictReader(fh))[-1]
+        assert overall["articles_with_mention_pct"] == "3.13"
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["overall"]["articles_with_mention_pct"] == 3.13
+        assert "2016\tall\t3.13" in (out / "trend.tsv").read_text(encoding="utf-8").splitlines()
+
     def test_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, text, _ = run(
@@ -792,6 +898,19 @@ class TestUsage:
         assert code == cli.EXIT_VALIDATION
         assert err.startswith("error:")
         assert flag in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["extract", "--parallel", "abc"], "--parallel"), (["analyze", "--top-k", "x"], "--top-k")],
+        ids=["parallel", "top-k"],
+    )
+    def test_flag_value_that_is_not_an_integer(self, tmp_path, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv + ["--corpus", str(GOLDEN_CORPUS)], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error:") and flag in err and "positive integer" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 

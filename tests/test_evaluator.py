@@ -4,8 +4,10 @@ import pytest
 
 from sourcescope.evaluator import (
     ConfusionCounts,
+    EvalReport,
     GoldAnnotation,
     KIND_ORDER,
+    MetricRow,
     compare,
     f1_transposition_note,
     load_gold,
@@ -144,6 +146,20 @@ class TestTranspositionFlag:
         counts = counts_from(tp=(3, 4, 5), fp=(0, 0, 0), fn=(0, 0, 0))
         assert f1_transposition_note(metrics(counts)) is None
 
+    @pytest.mark.parametrize(
+        "quotation, paraphrase",
+        [
+            (MetricRow(89.80, 73.33, 80.73), MetricRow(90.00, 79.37, 86.21)),  # Paraphrase P is not the reported one
+            (MetricRow(89.80, 73.33, 86.21), MetricRow(94.34, 79.37, 80.73)),  # F1s as reported
+            (MetricRow(89.80, 73.33, 80.00), MetricRow(94.34, 79.37, 86.21)),  # Quotation F1 neither reported cell
+        ],
+        ids=["other-paraphrase-row", "f1s-as-reported", "other-f1"],
+    )
+    def test_silent_unless_only_the_f1_cells_are_swapped(self, quotation, paraphrase):
+        embedding = MetricRow(100.0, 100.0, 100.0)
+        per_kind = {Kind.QUOTATION: quotation, Kind.PARAPHRASE: paraphrase, Kind.EMBEDDING: embedding}
+        assert f1_transposition_note(EvalReport(per_kind, macro=embedding, micro=embedding)) is None
+
 
 def test_report_csv_layout(tmp_path):
     counts = counts_from(tp=(44, 50, 270), fp=(5, 3, 0), fn=(16, 13, 0))
@@ -158,6 +174,14 @@ def test_report_csv_layout(tmp_path):
     assert lines[4].startswith("Macro-average,94.71,84.23,")
     assert lines[5] == "Micro-average,97.85,92.62,95.16"
     assert lines[6].startswith("# note:")
+
+
+def test_load_gold_skips_blank_lines(tmp_path):
+    path = tmp_path / "gold.jsonl"
+    path.write_text(
+        '\n{"article_id": "a1", "sentence_index": 2, "platform": "twitter", "kind": "embedding"}\n \t\n\n'
+    )
+    assert load_gold(path) == [GoldAnnotation("a1", 2, Platform.TWITTER, Kind.EMBEDDING)]
 
 
 def test_load_gold_roundtrip(tmp_path):

@@ -182,6 +182,12 @@ class TestClassifySentence:
         out = classify_sentence(s, pattern_set)
         assert [(p, k) for p, k, _, _ in out] == [(Platform.TWITTER, Kind.PARAPHRASE)]
 
+    @pytest.mark.parametrize("mark", ["'", "’"])
+    def test_lone_possessive_is_a_paraphrase(self, pattern_set, mark):
+        s = f"The players{mark} union posted on Facebook that talks had stalled."
+        out = classify_sentence(s, pattern_set)
+        assert [(p, k) for p, k, _, _ in out] == [(Platform.FACEBOOK, Kind.PARAPHRASE)]
+
     def test_embedding(self, pattern_set):
         s = "— Donald J. Trump (@realDonaldTrump) July 25, 2018"
         out = classify_sentence(s, pattern_set)

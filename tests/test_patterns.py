@@ -46,6 +46,20 @@ class TestLoadPatterns:
         with pytest.raises(PatternFileError, match="^line 2: duplicate"):
             load_patterns(path)
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("twitter\t   ", "empty phrase"), ("twitter\tshe tweeted\tright", "unknown anchored value 'right'")],
+        ids=["empty-phrase", "unknown-anchoring"],
+    )
+    def test_bad_row_names_line(self, tmp_path, row, reason):
+        path = write_tsv(tmp_path / "p.tsv", ["# version: x", "facebook\tposted on facebook", row])
+        with pytest.raises(PatternFileError, match=f"^line 3: {reason}$"):
+            load_patterns(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write_tsv(tmp_path / "p.tsv", ["", "twitter\tshe tweeted", "  \t ", "facebook\tposted on facebook", ""])
+        assert [p.phrase for p in load_patterns(path).patterns] == ["she tweeted", "posted on facebook"]
+
     def test_unknown_platform_names_line(self, tmp_path):
         path = write_tsv(tmp_path / "p.tsv", ["myspace\tposted on myspace"])
         with pytest.raises(PatternFileError, match="line 1"):
@@ -242,6 +256,13 @@ class TestQuoteSigns:
 
     def test_curly_singles(self):
         assert contains_quote_signs("it was ‘over’ by then") is True
+
+    @pytest.mark.parametrize("mark", ["'", "’"])
+    def test_lone_possessive_is_not_a_sign(self, mark):
+        assert contains_quote_signs(f"The players{mark} union posted on Facebook that talks had stalled.") is False
+
+    def test_curly_closing_marks_in_a_pair_are_a_sign(self):
+        assert contains_quote_signs("they were told to ’stay home’ for now") is True
 
     def test_guillemets(self):
         assert contains_quote_signs("«non»") is True
