@@ -1,12 +1,10 @@
 """Shared output helpers: percentages, rounding, sentences.tsv cells and whole-file writes.
 
-All printed percentages use round-half-away-from-zero to 2 decimals.
+All printed percentages use round-half-away-from-zero to 2 decimals. Files are written in place;
+a CLI run writes them into a staging directory that `cli._out_dir` publishes when the run succeeds.
 """
 
-import os
-from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
-from pathlib import Path
 
 
 def pct(numerator: float, denominator: float) -> float:
@@ -29,28 +27,10 @@ def escape_cell(text: str) -> str:
     return " ".join(text.replace("\t", " ").splitlines())
 
 
-@contextmanager
-def atomic_open(path):
-    """Open `path` for writing text that appears there only if the block completes.
-
-    The text goes to `.<name>.tmp` beside `path`, which replaces `path` when
-    the block ends and is removed when the block raises.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def write_lines(path, lines) -> int:
-    """Write each line, then a newline, as the whole file at `path` (via atomic_open); returns the line count."""
+    """Write each line, then a newline, as the whole file at `path`; returns the line count."""
     count = 0
-    with atomic_open(path) as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for count, line in enumerate(lines, start=1):
             fh.write(f"{line}\n")
     return count

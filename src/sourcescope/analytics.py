@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
 import time
@@ -370,7 +371,7 @@ class RemoteTopicLabeler:
         headers = {"Content-Type": "text/plain; charset=utf-8"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        last_error: Optional[Exception] = None
+        last_error = ""
         attempt = 0
         for attempt in range(1, ATTEMPTS + 1):
             if attempt > 1:
@@ -386,12 +387,14 @@ class RemoteTopicLabeler:
                 raise LabelerError(
                     f"remote labeler at {self.url} answered with invalid UTF-8 at byte offset {exc.start}", attempt
                 ) from None
-            except (urllib.error.URLError, OSError) as exc:
-                last_error = exc
+            except OSError as exc:  # URLError is one
+                last_error = str(exc)
                 if isinstance(exc, urllib.error.HTTPError):
-                    exc.close()  # it holds the server's response open; its text stays
+                    exc.close()  # it holds the server's response open
                     if exc.code < 500:
                         break  # the server refused the request; sending it again will not help
+            except http.client.HTTPException as exc:  # a malformed answer; repr keeps the server's text on one line
+                last_error = repr(exc)
         raise LabelerError(f"remote labeler at {self.url} failed: {last_error}", attempt)
 
 

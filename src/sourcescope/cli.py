@@ -5,15 +5,17 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import shutil
 import signal
 import sys
+import tempfile
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
 from urllib.parse import urlsplit
 
 from sourcescope import analytics, evaluator, extractor
-from sourcescope._fmt import atomic_open, escape_cell, fmt2
+from sourcescope._fmt import escape_cell, fmt2
 from sourcescope.corpus import Article, CorpusReader, Rejection, chosen_articles, serialize, stratified_sample
 from sourcescope.patterns import PatternSet, default_patterns, load_patterns
 
@@ -29,10 +31,19 @@ def _load_patterns(path) -> PatternSet:
     return load_patterns(path) if path else default_patterns()
 
 
-def _out_dir(path) -> Path:
+@contextmanager
+def _out_dir(path):
+    """Make `path` if missing and yield a private staging directory inside it. The staged files move
+    into `path` together when the block completes; the directory goes in any case, with what is left."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    staging = Path(tempfile.mkdtemp(prefix=".", suffix=".tmp", dir=out))
+    try:
+        yield staging
+        for staged in staging.iterdir():
+            os.replace(staged, out / staged.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)  # an error here must not replace the run's own
 
 
 def _labeler(args: argparse.Namespace):
@@ -88,9 +99,8 @@ def _writing_sentences(pairs, fh):
 
 def cmd_extract(args: argparse.Namespace) -> int:
     pattern_set = _load_patterns(args.patterns)
-    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
-        out = _out_dir(args.out)
-        with _extracted(reader, pattern_set, args) as pairs, atomic_open(out / "sentences.tsv") as fh:
+    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader, _out_dir(args.out) as out:
+        with _extracted(reader, pattern_set, args) as pairs, open(out / "sentences.tsv", "w", encoding="utf-8") as fh:
             mention_count = extractor.write_mentions(_writing_sentences(pairs, fh), out / "mentions.jsonl")
     print(f"{reader.accepted} articles processed, {mention_count} mentions")
     print(f"pattern set version: {pattern_set.version}")
@@ -100,15 +110,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gold = evaluator.load_gold(args.gold)
     pattern_set = _load_patterns(args.patterns)
-    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
-        out = _out_dir(args.out)
+    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader, _out_dir(args.out) as out:
         with _extracted(reader, pattern_set, args) as pairs:
             predicted = [m for _, result in pairs for m in result.mentions]
-
-    counts = evaluator.compare(predicted, gold)
-    report = evaluator.metrics(counts)
-    note = evaluator.f1_transposition_note(report)
-    evaluator.write_report_csv(report, out / "evaluation.csv", note=note)
+        counts = evaluator.compare(predicted, gold)
+        report = evaluator.metrics(counts)
+        note = evaluator.f1_transposition_note(report)
+        evaluator.write_report_csv(report, out / "evaluation.csv", note=note)
 
     for label, row in evaluator.report_rows(report):
         print(f"{label}: P={fmt2(row.precision)} R={fmt2(row.recall)} F1={fmt2(row.f1)}")
@@ -120,23 +128,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     labeler = _labeler(args)
     pattern_set = _load_patterns(args.patterns)
-    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
-        out = _out_dir(args.out)
+    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader, _out_dir(args.out) as out:
         # a labeler failure stops the extraction at once
         with _extracted(reader, pattern_set, args) as pairs:
             acc = analytics.accumulate(pairs, labeler)
-    media = analytics.media_report(acc)
-    trend = analytics.trend_report(acc)
-    ratio = analytics.ratio_report(acc)
-    topic = analytics.topic_report(acc, args.top_k)
-
-    analytics.write_media_csv(media, out / "media.csv")
-    analytics.write_ratio_csv(ratio, out / "ratio.csv")
-    analytics.write_topic_csvs(topic, out / "topics_top.csv", out / "topic_kinds.csv")
-    analytics.write_trend_tsv(trend, out / "trend.tsv")
-    analytics.write_summary_json(
-        analytics.summary_object(media, trend, ratio, topic), out / "summary.json"
-    )
+        media = analytics.media_report(acc)
+        trend = analytics.trend_report(acc)
+        ratio = analytics.ratio_report(acc)
+        topic = analytics.topic_report(acc, args.top_k)
+        analytics.write_media_csv(media, out / "media.csv")
+        analytics.write_ratio_csv(ratio, out / "ratio.csv")
+        analytics.write_topic_csvs(topic, out / "topics_top.csv", out / "topic_kinds.csv")
+        analytics.write_trend_tsv(trend, out / "trend.tsv")
+        analytics.write_summary_json(analytics.summary_object(media, trend, ratio, topic), out / "summary.json")
     overall = media.overall
     print(
         f"{overall.total_articles} articles, {overall.articles_with_mention} with a source "
@@ -149,8 +153,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     keywords = [kw.strip() for kw in args.keywords.split(",") if kw.strip()]
     with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
         chosen = stratified_sample(_articles(reader), keywords, args.sample_size, args.seed)
-    out = _out_dir(args.out)
-    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
+    with _out_dir(args.out) as out, CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader:
         serialize(chosen_articles(_articles(reader), chosen), out / "sample.jsonl")
     print(f"{len(chosen)} articles sampled")
     return EXIT_OK
@@ -247,8 +250,8 @@ def _raise_terminated(signum, frame):
 
 
 def entry() -> None:
-    """Run main(); on SIGTERM, unwind first (temporary files go, the pool shuts
-    down), then die of SIGTERM as the default handler would have."""
+    """Run main(); on SIGTERM, unwind first (the staging directory goes, the
+    pool shuts down), then die of SIGTERM as the default handler would have."""
     signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         raise SystemExit(main())

@@ -78,6 +78,8 @@ def load_gold(path) -> list[GoldAnnotation]:
                 if key in annotations:
                     raise ValueError(f"duplicate key {key[0]!r}, {key[1]}, {key[2].value}")
                 annotations[key] = gold
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"gold line {line_number}: invalid UTF-8 at byte offset {exc.start}") from None
             except (ValueError, RecursionError) as exc:
                 raise ValueError(f"gold line {line_number}: {exc}") from None
     return list(annotations.values())

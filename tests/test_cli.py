@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import errno
 import http.server
 import json
 import multiprocessing
@@ -280,6 +281,29 @@ class TestExtract:
         with pytest.raises(RuntimeError, match="worker lost"):
             cli.main(["extract", "--corpus", str(corpus_path), "--out", str(out)])
         assert sorted(path.name for path in out.iterdir()) == []
+
+    def test_run_started_during_another_leaves_each_file_whole(self, tmp_path, capsys, monkeypatch):
+        corpus_path = tmp_path / "corpus.jsonl"
+        serialize(random_corpus(random.Random(7), 40), corpus_path)
+        alone = tmp_path / "alone"
+        assert cli.main(["extract", "--corpus", str(corpus_path), "--out", str(alone)]) == cli.EXIT_OK
+        out = tmp_path / "out"
+        argv = ["extract", "--corpus", str(corpus_path), "--out", str(out)]
+        calls = Counter()
+        original = extractor.extract_mentions
+
+        def starting_a_second_run(article, pattern_set):
+            calls["extract_mentions"] += 1
+            if calls["extract_mentions"] == 20:  # the first run has written part of each file
+                calls["inner exit"] = cli.main(argv)
+            return original(article, pattern_set)
+
+        monkeypatch.setattr(extractor, "extract_mentions", starting_a_second_run)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert calls["inner exit"] == cli.EXIT_OK and calls["extract_mentions"] == 80
+        assert sorted(path.name for path in out.iterdir()) == ["mentions.jsonl", "sentences.tsv"]
+        for name in ("mentions.jsonl", "sentences.tsv"):
+            assert (out / name).read_bytes() == (alone / name).read_bytes()
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process parents from /proc")
     def test_sigterm_removes_temporary_files_and_stops_workers(self, tmp_path):
@@ -697,6 +721,64 @@ class TestAnalyze:
         assert len(requests) == 1  # the same answer would not decode on a retry
         assert stdout == ""
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "answer",
+        [b"garbage\r\n\r\n", b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\nPolit"],
+        ids=["bad-status-line", "cut-off-body"],
+    )
+    def test_malformed_labeler_answer_is_retried_then_exits_3(self, tmp_path, capsys, monkeypatch, answer):
+        requests = []
+        monkeypatch.setattr(analytics, "ATTEMPTS", 2)
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                requests.append(self.rfile.read(int(self.headers["Content-Length"])))
+                self.wfile.write(answer)  # then the connection closes
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{server.server_port}/label"
+        out = tmp_path / "out"
+        try:
+            code, stdout, err = run(
+                ["analyze", "--corpus", str(GOLDEN_CORPUS), "--out", str(out), "--labeler", "remote",
+                 "--labeler-url", url],
+                capsys,
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == cli.EXIT_LABELER
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert url in err and "(after 2 attempts)" in err
+        assert len(requests) == 2
+        assert stdout == ""
+        assert list(out.iterdir()) == []
+
+    def test_failed_run_leaves_the_earlier_outputs_as_they_were(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        code, _, _ = run(["analyze", "--corpus", str(GOLDEN_CORPUS), "--out", str(out)], capsys)
+        assert code == cli.EXIT_OK
+        earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def disk_full(summary, path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(analytics, "write_summary_json", disk_full)
+        code, stdout, err = run(
+            ["analyze", "--corpus", str(GOLDEN_CORPUS), "--out", str(out), "--labeler", "keyword"], capsys
+        )
+        assert code == cli.EXIT_IO
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert stdout == ""
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
+        assert not list(out.glob(".*.tmp"))
 
     @pytest.mark.parametrize(
         "url",

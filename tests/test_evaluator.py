@@ -206,7 +206,7 @@ def test_load_gold_roundtrip(tmp_path):
         ('{"article_id": "a1", "sentence_index": 2, "platform": "twitter", "kind": "rumour"}', "rumour"),
         ('{"article_id": "a1", ', "gold line 2"),
         ('{"article_id": "a0", "sentence_index": 0, "platform": "facebook", "kind": "paraphrase"}', "duplicate"),
-        (b"\xff\xfe", "decode byte 0xff"),
+        (b"ab\xff\xfe", "gold line 2: invalid UTF-8 at byte offset 2"),
     ],
     ids=[
         "not-an-object", "missing-key", "non-string-id", "negative-index", "float-index",
