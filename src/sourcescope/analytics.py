@@ -11,13 +11,14 @@ import urllib.request
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
+from importlib import resources
 from operator import itemgetter
 from typing import Iterable, Optional, Protocol
 
 from sourcescope._fmt import fmt2, pct, round2, write_lines
 from sourcescope.corpus import Article, MediaType
-from sourcescope.extractor import KIND_ORDER, ExtractionResult
-from sourcescope.patterns import Platform, fold_case
+from sourcescope.extractor import KIND_ORDER, ExtractionResult, extract_mentions
+from sourcescope.patterns import PatternSet, Platform, fold_case
 
 # accumulator keys are plain value tuples: (media_type, year, topic-or-None),
 # extended by (platform, kind) in mentions and by (platform,) in
@@ -50,12 +51,12 @@ def accumulate(
 ) -> StatsAccumulator:
     """Fold each article, paired with its extraction result, into counters.
 
-    The pairs are those extractor.iter_extract yields. Each article is
-    labeled once, by label_topic, as its pair arrives; an empty topic counts
-    as unlabeled. An article with any mention increments
+    Each article is labeled once, by label_topic, as its pair arrives; an
+    empty topic counts as unlabeled. An article with any mention increments
     articles_with_mention exactly once. Every article is counted, so
     accumulators over disjoint corpus shards merge into the accumulator of
-    their union.
+    their union: analyze folds each chunk of the corpus where it is
+    extracted (accumulate_chunk) and merges the chunks' accumulators.
     """
     acc = StatsAccumulator()
     for article, result in pairs:
@@ -71,6 +72,14 @@ def accumulate(
         for platform in platforms:
             acc.platform_articles[key + (platform,)] += 1
     return acc
+
+
+def accumulate_chunk(
+    articles: Iterable[Article], pattern_set: PatternSet, labeler: Optional[TopicLabeler] = None
+) -> tuple[StatsAccumulator]:
+    """The chunk function of analyze for extractor.map_chunks: the one accumulator of the
+    articles, each extracted without its sentence spans, labeled and counted where it runs."""
+    return (accumulate(((article, extract_mentions(article, pattern_set)) for article in articles), labeler),)
 
 
 def _grouped(counter: Counter, *by: str, media: Optional[str] = None) -> Counter:
@@ -249,8 +258,7 @@ class TopicKindRow:
 @dataclass(frozen=True)
 class TopicReport:
     top_rows: tuple  # of TopicRow, per media, rank order
-    union_topics: tuple  # topics covered by the kind table
-    kind_rows: tuple  # of TopicKindRow
+    kind_rows: tuple  # of TopicKindRow, for each topic of top_rows in sorted order
 
 
 def topic_report(acc: StatsAccumulator, k: int) -> TopicReport:
@@ -269,10 +277,9 @@ def topic_report(acc: StatsAccumulator, k: int) -> TopicReport:
         for topic, count in sorted(labeled, key=lambda item: (-item[1], item[0]))[:k]:
             awm = with_mention[mt.value, topic]
             top_rows.append(TopicRow(mt.value, topic, count, awm, pct(awm, count)))
-    union = tuple(sorted({row.topic for row in top_rows}))
 
     kind_rows: list[TopicKindRow] = []
-    for topic in union:
+    for topic in sorted({row.topic for row in top_rows}):
         for mt in MediaType:
             kinds = {kind: mentions[mt.value, topic, kind.value] for kind in KIND_ORDER}
             total = sum(kinds.values())
@@ -285,7 +292,7 @@ def topic_report(acc: StatsAccumulator, k: int) -> TopicReport:
                     kind_pct={kind: pct(count, total) for kind, count in kinds.items()},
                 )
             )
-    return TopicReport(top_rows=tuple(top_rows), union_topics=union, kind_rows=tuple(kind_rows))
+    return TopicReport(top_rows=tuple(top_rows), kind_rows=tuple(kind_rows))
 
 
 # --- topic labeling ---
@@ -306,37 +313,14 @@ class LabelerError(RuntimeError):
         return f"{self.args[0]} (after {self.attempts} attempt{'' if self.attempts == 1 else 's'})"
 
 
-# offline fallback over the seven analyzed topics
-TOPIC_KEYWORDS = {
-    "Arts & Entertainment": (
-        "actor", "actress", "album", "celebrity", "concert", "film", "hollywood",
-        "movie", "music", "premiere", "singer",
-    ),
-    "Health": (
-        "cancer", "diet", "disease", "doctor", "flu", "hospital", "medical",
-        "patient", "vaccine", "virus",
-    ),
-    "Law & Government": (
-        "attorney", "court", "judge", "lawsuit", "legislation", "regulation",
-        "ruling", "verdict",
-    ),
-    "People & Society": (
-        "charity", "church", "community", "culture", "religion", "tradition",
-        "volunteer", "wedding",
-    ),
-    "Politics": (
-        "ballot", "campaign", "congress", "democrat", "election", "governor",
-        "president", "republican", "senate", "senator", "vote",
-    ),
-    "Sensitive Subjects": (
-        "assault", "murder", "racism", "shooting", "suicide", "terror",
-        "violence",
-    ),
-    "Sports": (
-        "championship", "coach", "league", "playoff", "quarterback", "season",
-        "team", "touchdown", "tournament",
-    ),
-}
+def _topic_keywords() -> dict:
+    """topic -> keywords, from the bundled topic_keywords.tsv."""
+    text = resources.files("sourcescope").joinpath("data/topic_keywords.tsv").read_text(encoding="utf-8")
+    rows = (line.split("\t") for line in text.splitlines() if not line.startswith("#"))
+    return {topic: tuple(keywords.split()) for topic, keywords in rows}
+
+
+TOPIC_KEYWORDS = _topic_keywords()
 
 # A keyword hits where a maximal \w run equals it under re.IGNORECASE, which
 # is where a \w run of the case-folded text equals it.

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing, contextmanager
+from functools import reduce
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -80,13 +81,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _extracted(reader: CorpusReader, pattern_set: PatternSet, args: argparse.Namespace):
-    """The (article, result) pairs of the accepted articles, from at most one worker per usable CPU.
-
-    Closing it stops the extraction, cancelling the work still pending.
-    """
-    workers = min(args.parallel, _usable_cpus())
-    return closing(extractor.iter_extract(_articles(reader), pattern_set, workers=workers))
+def _workers(args: argparse.Namespace) -> int:
+    """The worker processes to extract with: --parallel, capped at one per usable CPU."""
+    return min(args.parallel, _usable_cpus())
 
 
 def _writing_sentences(pairs, fh):
@@ -100,8 +97,10 @@ def _writing_sentences(pairs, fh):
 def cmd_extract(args: argparse.Namespace) -> int:
     pattern_set = _load_patterns(args.patterns)
     with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader, _out_dir(args.out) as out:
-        with _extracted(reader, pattern_set, args) as pairs, open(out / "sentences.tsv", "w", encoding="utf-8") as fh:
-            mention_count = extractor.write_mentions(_writing_sentences(pairs, fh), out / "mentions.jsonl")
+        # closing the extraction stops it, cancelling the work still pending
+        with closing(extractor.iter_extract(_articles(reader), pattern_set, _workers(args), sentences=True)) as pairs:
+            with open(out / "sentences.tsv", "w", encoding="utf-8") as fh:
+                mention_count = extractor.write_mentions(_writing_sentences(pairs, fh), out / "mentions.jsonl")
     print(f"{reader.accepted} articles processed, {mention_count} mentions")
     print(f"pattern set version: {pattern_set.version}")
     return EXIT_OK
@@ -111,7 +110,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gold = evaluator.load_gold(args.gold)
     pattern_set = _load_patterns(args.patterns)
     with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader, _out_dir(args.out) as out:
-        with _extracted(reader, pattern_set, args) as pairs:
+        with closing(extractor.iter_extract(_articles(reader), pattern_set, _workers(args))) as pairs:
             predicted = [m for _, result in pairs for m in result.mentions]
         counts = evaluator.compare(predicted, gold)
         report = evaluator.metrics(counts)
@@ -129,9 +128,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     labeler = _labeler(args)
     pattern_set = _load_patterns(args.patterns)
     with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader, _out_dir(args.out) as out:
-        # a labeler failure stops the extraction at once
-        with _extracted(reader, pattern_set, args) as pairs:
-            acc = analytics.accumulate(pairs, labeler)
+        # each chunk comes back as one accumulator; a labeler failure stops the run at once
+        with closing(extractor.map_chunks(
+            analytics.accumulate_chunk, _articles(reader), (pattern_set, labeler), _workers(args)
+        )) as accs:
+            acc = reduce(analytics.StatsAccumulator.merge, accs, analytics.StatsAccumulator())
         media = analytics.media_report(acc)
         trend = analytics.trend_report(acc)
         ratio = analytics.ratio_report(acc)
@@ -250,17 +251,19 @@ def _raise_terminated(signum, frame):
 
 
 def entry() -> None:
-    """Run main(); on SIGTERM, unwind first (the staging directory goes, the
-    pool shuts down), then die of SIGTERM as the default handler would have."""
+    """Run main(); on SIGTERM or SIGINT (Ctrl-C), unwind first (the staging directory goes,
+    the pool shuts down), then die of that signal as the default handler would have."""
     signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         raise SystemExit(main())
     except _Terminated:
-        pass
+        signum = signal.SIGTERM
+    except KeyboardInterrupt:
+        signum = signal.SIGINT
     # leaving the except block released the traceback, and with it every frame
     # of the run, so a suspended extraction generator has shut its pool down
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    os.kill(os.getpid(), signal.SIGTERM)
+    signal.signal(signum, signal.SIG_DFL)
+    os.kill(os.getpid(), signum)
 
 
 if __name__ == "__main__":

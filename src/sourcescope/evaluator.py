@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from sourcescope._fmt import fmt2, pct, write_lines
@@ -21,19 +21,15 @@ class GoldAnnotation:
     kind: Kind
 
 
+def _zero_counts() -> dict:
+    return dict.fromkeys(KIND_ORDER, 0)
+
+
 @dataclass(frozen=True)
 class ConfusionCounts:
-    tp: dict  # Kind -> int
-    fp: dict
-    fn: dict
-
-    @classmethod
-    def zero(cls) -> "ConfusionCounts":
-        return cls(
-            tp={k: 0 for k in KIND_ORDER},
-            fp={k: 0 for k in KIND_ORDER},
-            fn={k: 0 for k in KIND_ORDER},
-        )
+    tp: dict = field(default_factory=_zero_counts)  # Kind -> int
+    fp: dict = field(default_factory=_zero_counts)
+    fn: dict = field(default_factory=_zero_counts)
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ def compare(predicted: Sequence[SourceMention], gold: Sequence[GoldAnnotation]) 
     """
     pred_map = _keyed(predicted, "prediction")
     gold_map = _keyed(gold, "gold")
-    counts = ConfusionCounts.zero()
+    counts = ConfusionCounts()
     for key, kind in pred_map.items():
         if gold_map.get(key) == kind:
             counts.tp[kind] += 1
@@ -172,8 +168,7 @@ def f1_transposition_note(report: EvalReport) -> Optional[str]:
         return None
     if not (close(p.precision, rp.precision) and close(p.recall, rp.recall)):
         return None
-    if close(q.f1, rq.f1) and close(p.f1, rp.f1):
-        return None
+    # the reported F1 cells differ by far more than the tolerance, so a match as reported fails this test
     if close(q.f1, rp.f1) and close(p.f1, rq.f1):
         return (
             "note: recomputed Quotation/Paraphrase F1 values "

@@ -6,6 +6,7 @@ import json
 import signal
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import islice
@@ -95,12 +96,14 @@ def classify_sentence(sentence: str, pattern_set: PatternSet) -> list[tuple]:
     return emissions
 
 
-def extract_mentions(article: Article, pattern_set: PatternSet) -> ExtractionResult:
-    """Segment and quote-scan the body once; classify each sentence of a body that could cite."""
+def extract_mentions(article: Article, pattern_set: PatternSet, *, sentences: bool = False) -> ExtractionResult:
+    """Quote-scan the body once and classify each sentence of a body that could cite. The body is segmented
+    once, and only if it could cite or `sentences` asks for its sentence spans; without that, `sentences` is ()."""
     quotes = extract_quote_spans(article.body)
-    spans = segment(article.body, quotes)
+    cites = could_cite(article.body, pattern_set)
+    spans = segment(article.body, quotes) if cites or sentences else ()
     mentions: list[SourceMention] = []
-    for span in spans if could_cite(article.body, pattern_set) else ():
+    for span in spans if cites else ():
         sentence = article.body[span.start:span.end]
         for platform, kind, (start, end), pattern_id in classify_sentence(sentence, pattern_set):
             mentions.append(
@@ -117,60 +120,81 @@ def extract_mentions(article: Article, pattern_set: PatternSet) -> ExtractionRes
     return ExtractionResult(
         article_id=article.id,
         mentions=tuple(mentions),
-        sentences=tuple((span.start, span.end) for span in spans),
+        sentences=tuple((span.start, span.end) for span in spans) if sentences else (),
         direct_quote_count=sum(1 for q in quotes if q.end - q.start >= MIN_QUOTE_CHARS),
     )
 
 
-_worker_pattern_set: Optional[PatternSet] = None
+_worker_task: tuple = ()  # the (function, context) that a pool worker runs on each chunk
 
 
-def _init_worker(pattern_set: PatternSet) -> None:
-    global _worker_pattern_set
+def _init_worker(function, context: tuple) -> None:
+    global _worker_task
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the parent's unwinding handler
-    _worker_pattern_set = pattern_set
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the whole group; the parent unwinds the pool
+    _worker_task = (function, context)
 
 
-def _extract_chunk(articles: list) -> list:
-    return [extract_mentions(article, _worker_pattern_set) for article in articles]
+def _run_chunk(articles: list) -> list:
+    function, context = _worker_task
+    return list(function(articles, *context))
 
 
-def iter_extract(
-    articles: Iterable[Article], pattern_set: PatternSet, workers: int = 1
-) -> Iterator[tuple[Article, ExtractionResult]]:
-    """Yield each article paired with its result, in input order regardless of parallelism.
+def map_chunks(function, articles: Iterable[Article], context: tuple = (), workers: int = 1) -> Iterator:
+    """Yield the outputs of function(chunk, *context) over the chunks of `articles`, in input order.
 
-    Articles are read as they are needed: one at a time serially, and with
-    workers at most CHUNKS_PER_WORKER * workers chunks ahead, each kept beside
-    its future, as workers return only results. Closing the generator cancels
-    the chunks not yet started and waits for the running ones.
+    function returns an iterable of outputs. Serially the whole stream is one
+    chunk, read as function reads it. With workers, chunks of CHUNK_ARTICLES
+    articles go to a pool, at most CHUNKS_PER_WORKER * workers of them in
+    flight, and each worker gets function and context once, through the pool
+    initializer. Closing the generator cancels the chunks not yet started and
+    waits for the running ones.
     """
     if workers <= 1:
-        for article in articles:
-            yield article, extract_mentions(article, pattern_set)
+        yield from function(articles, *context)
         return
     source = iter(articles)
     chunks = iter(lambda: list(islice(source, CHUNK_ARTICLES)), [])
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(pattern_set,)
-    ) as executor:
-        pending: deque = deque()  # of (chunk, future of its results)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(function, context)) as executor:
+        pending: deque = deque()  # of futures of the chunks' output lists
         try:
             for chunk in chunks:
-                pending.append((chunk, executor.submit(_extract_chunk, chunk)))
+                pending.append(executor.submit(_run_chunk, chunk))
                 if len(pending) == workers * CHUNKS_PER_WORKER:
-                    chunk, future = pending.popleft()
-                    yield from zip(chunk, future.result(), strict=True)
-            for chunk, future in pending:
-                yield from zip(chunk, future.result(), strict=True)
+                    yield from pending.popleft().result()
+            while pending:
+                yield from pending.popleft().result()
         finally:
-            for _, future in pending:
+            for future in pending:
                 future.cancel()
 
 
-def extract_corpus(
-    articles: Iterable[Article], pattern_set: PatternSet, workers: int = 1
-) -> list[ExtractionResult]:
+def _extract_chunk(articles, pattern_set: PatternSet, sentences: bool) -> Iterator[ExtractionResult]:
+    return (extract_mentions(article, pattern_set, sentences=sentences) for article in articles)
+
+
+def iter_extract(
+    articles: Iterable[Article], pattern_set: PatternSet, workers: int = 1, *, sentences: bool = False
+) -> Iterator[tuple[Article, ExtractionResult]]:
+    """Yield each article paired with its result, in input order regardless of parallelism.
+
+    Articles are read as map_chunks reads them, and wait in `drawn` for
+    their results, as workers return only results. Closing the generator
+    closes map_chunks.
+    """
+    drawn: deque = deque()
+
+    def drawing():
+        for article in articles:
+            drawn.append(article)
+            yield article
+
+    with closing(map_chunks(_extract_chunk, drawing(), (pattern_set, sentences), workers)) as results:
+        for result in results:
+            yield drawn.popleft(), result
+
+
+def extract_corpus(articles: Iterable[Article], pattern_set: PatternSet, workers: int = 1) -> list[ExtractionResult]:
     """One result per article, in input order regardless of parallelism."""
     return [result for _, result in iter_extract(articles, pattern_set, workers)]
 

@@ -117,9 +117,6 @@ class PatternSet:
             group_words.update(words)
             entries.append((pat, words, _compile_phrase(pat.phrase, pat.anchored)))
 
-    def count(self, platform: Platform) -> int:
-        return sum(1 for p in self.patterns if p.platform == platform)
-
 
 def load_patterns(path) -> PatternSet:
     """Load a UTF-8 TSV pattern file.

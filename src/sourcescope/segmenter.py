@@ -74,7 +74,3 @@ def segment(text: str, quotes: Optional[Sequence[QuoteSpan]] = None) -> list[Sen
             spans.append(SentenceSpan(len(spans), prev + left, prev + right))
         prev = boundary
     return spans
-
-
-def sentences(text: str) -> list[str]:
-    return [text[s.start:s.end] for s in segment(text)]

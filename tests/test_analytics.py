@@ -5,7 +5,9 @@ import re
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from datetime import date
+from functools import reduce
 
 import pytest
 
@@ -30,6 +32,7 @@ from sourcescope.analytics import (
     TrendReport,
     TrendRow,
     accumulate,
+    accumulate_chunk,
     label_topic,
     media_report,
     ratio_report,
@@ -39,7 +42,7 @@ from sourcescope.analytics import (
     write_trend_tsv,
 )
 from sourcescope.corpus import Article, MediaType
-from sourcescope.extractor import ExtractionResult, Kind, SourceMention, extract_corpus
+from sourcescope.extractor import ExtractionResult, Kind, SourceMention, extract_corpus, iter_extract, map_chunks
 from sourcescope.patterns import Platform, default_patterns
 
 M, U = MediaType.MAINSTREAM.value, MediaType.UNRELIABLE.value
@@ -113,6 +116,35 @@ class TestAccumulate:
         acc = accumulate([(a, result(a.id)) for a in articles], labeler)
         assert labeler.texts == ["h\nb0", "h\nb2", "h\nb3"]
         assert acc.article_count == Counter({(M, 2015, "Sports"): 3, (M, 2015, "Health"): 1})
+
+
+class TestReductionInTheWorkers:
+    """analyze's merged chunk accumulators equal the serial fold over every article."""
+
+    @staticmethod
+    def labelable_corpus(n):
+        """A seeded random corpus in which about half the headlines name topic keywords."""
+        rng = random.Random(n)
+        return [
+            replace(a, headline=" ".join(rng.sample(_ALL_KEYWORDS, 2))) if rng.random() < 0.5 else a
+            for a in random_corpus(rng, n)
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("labeler", [None, KeywordTopicLabeler()], ids=["preset", "keyword"])
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 300])  # around one and several 128-article chunks
+    def test_merged_chunks_equal_the_serial_fold(self, n, labeler, workers):
+        pattern_set = default_patterns()
+        corpus = self.labelable_corpus(n)
+        chunks = map_chunks(accumulate_chunk, iter(corpus), (pattern_set, labeler), workers)
+        merged = reduce(StatsAccumulator.merge, chunks, StatsAccumulator())
+        expected = accumulate(iter_extract(corpus, pattern_set), labeler)
+        assert merged == expected
+        assert sum(expected.article_count.values()) == n
+        if n >= 127:  # the corpus exercises the labeler and the mention counts
+            assert labeler is None or any(topic not in (None, "Politics", "Sports", "Health")
+                                          for _, _, topic in expected.article_count)
+            assert expected.mentions
 
 
 class TestMergeProperties:
@@ -289,7 +321,7 @@ class TestTopicReport:
         assert mainstream == [
             "Arts & Entertainment", "Sensitive Subjects", "Law & Government", "Sports", "Politics",
         ]
-        assert set(report.union_topics) == {
+        assert {row.topic for row in report.top_rows} == {
             "Arts & Entertainment", "Sensitive Subjects", "Law & Government", "Sports",
             "Politics", "People & Society", "Health",
         }
@@ -589,7 +621,7 @@ class TestReportsMatchBruteForce:
                         kind_pct={kind: brute_pct(n, sum(kinds.values())) for kind, n in kinds.items()},
                     )
                 )
-        return TopicReport(top_rows=tuple(top_rows), union_topics=union, kind_rows=tuple(kind_rows))
+        return TopicReport(top_rows=tuple(top_rows), kind_rows=tuple(kind_rows))
 
     def expected_ratio(self, acc):
         rows = {}

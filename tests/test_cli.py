@@ -76,6 +76,38 @@ def _kill_quietly(pid) -> None:
         pass
 
 
+def _interrupted_run(tmp_path, argv, workers, interrupt):
+    """Run the CLI on a 20,000-article corpus, in a process group of its own as a shell runs a job, and
+    call interrupt(proc, children) once it has `workers` live children and is staging its files.
+
+    Returns (its exit status, its stderr, the children it had, its --out).
+    """
+    corpus_path = tmp_path / "corpus.jsonl"
+    serialize(random_corpus(random.Random(6), 20000), corpus_path)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sourcescope.cli", *argv, "--corpus", str(corpus_path), "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    children: list = []
+    try:
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and time.monotonic() < deadline:
+            children = _live_children(proc.pid)
+            if len(children) == workers and out.is_dir() and any(out.glob(".*.tmp")):
+                interrupt(proc, children)
+                break
+            time.sleep(0.01)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        for pid in _live_children(proc.pid) + children:
+            _kill_quietly(pid)
+        proc.kill()
+        proc.wait()
+    return proc.returncode, err, children, out
+
+
 def write_one_in_32(path, cited_body, other_body):
     """A 32-article 2016 mainstream corpus whose first article alone has cited_body: 1/32 is 3.125 %."""
     records = [dict(GOOD_RECORD, id=f"a{i:02d}", body=other_body) for i in range(32)]
@@ -270,11 +302,11 @@ class TestExtract:
         calls = Counter()
         original = extractor.extract_mentions
 
-        def crashing(article, pattern_set):
+        def crashing(article, pattern_set, **kwargs):
             calls["extract_mentions"] += 1
             if calls["extract_mentions"] > 3:
                 raise RuntimeError("worker lost")
-            return original(article, pattern_set)
+            return original(article, pattern_set, **kwargs)
 
         monkeypatch.setattr(extractor, "extract_mentions", crashing)
         out = tmp_path / "out"
@@ -292,11 +324,11 @@ class TestExtract:
         calls = Counter()
         original = extractor.extract_mentions
 
-        def starting_a_second_run(article, pattern_set):
+        def starting_a_second_run(article, pattern_set, **kwargs):
             calls["extract_mentions"] += 1
             if calls["extract_mentions"] == 20:  # the first run has written part of each file
                 calls["inner exit"] = cli.main(argv)
-            return original(article, pattern_set)
+            return original(article, pattern_set, **kwargs)
 
         monkeypatch.setattr(extractor, "extract_mentions", starting_a_second_run)
         assert cli.main(argv) == cli.EXIT_OK
@@ -307,67 +339,46 @@ class TestExtract:
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process parents from /proc")
     def test_sigterm_removes_temporary_files_and_stops_workers(self, tmp_path):
-        corpus_path = tmp_path / "corpus.jsonl"
-        serialize(random_corpus(random.Random(6), 20000), corpus_path)
-        out = tmp_path / "out"
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "sourcescope.cli", "extract", "--corpus", str(corpus_path),
-             "--out", str(out), "--parallel", "2"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        code, _, workers, out = _interrupted_run(
+            tmp_path, ["extract", "--parallel", "2"], 2, lambda proc, workers: proc.send_signal(signal.SIGTERM)
         )
-        workers: list = []
-        try:
-            deadline = time.monotonic() + 60
-            while proc.poll() is None and time.monotonic() < deadline:
-                workers = _live_children(proc.pid)
-                if len(workers) == 2 and out.is_dir() and any(out.glob(".*.tmp")):
-                    proc.send_signal(signal.SIGTERM)
-                    break
-                time.sleep(0.01)
-            proc.wait(timeout=30)
-        finally:
-            for pid in _live_children(proc.pid) + workers:
-                _kill_quietly(pid)
-            proc.kill()
-            proc.wait()
-        if proc.returncode == cli.EXIT_OK:  # finished before the signal could be sent
+        if code == cli.EXIT_OK:  # finished before the signal could be sent
             assert sorted(path.name for path in out.iterdir()) == ["mentions.jsonl", "sentences.tsv"]
             assert len((out / "sentences.tsv").read_text(encoding="utf-8").splitlines()) > 20000
             return
-        assert proc.returncode == -signal.SIGTERM
+        assert code == -signal.SIGTERM
         assert sorted(path.name for path in out.iterdir()) == []
         assert workers and not [pid for pid in workers if _alive(pid)]
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process parents from /proc")
+    @pytest.mark.parametrize(
+        "argv, workers",
+        [(["extract"], 0), (["extract", "--parallel", "2"], 2),
+         (["analyze", "--labeler", "keyword", "--parallel", "2"], 2)],
+        ids=["extract", "extract-parallel", "analyze-keyword-parallel"],
+    )
+    def test_ctrl_c_unwinds_and_dies_of_sigint_without_a_traceback(self, tmp_path, argv, workers):
+        def ctrl_c(proc, children):
+            time.sleep(0.2)  # mid-run, with each worker at work
+            os.killpg(proc.pid, signal.SIGINT)  # the terminal sends it to the whole foreground group
+
+        code, err, children, out = _interrupted_run(tmp_path, argv, workers, ctrl_c)
+        if code == cli.EXIT_OK:  # finished before the signal could be sent
+            assert sorted(path.name for path in out.iterdir())
+            return
+        assert err == ""
+        assert code == -signal.SIGINT
+        assert sorted(path.name for path in out.iterdir()) == []
+        assert len(children) == workers and not [pid for pid in children if _alive(pid)]
+
     def test_worker_killed_mid_run_is_one_error_line(self, tmp_path):
-        corpus_path = tmp_path / "corpus.jsonl"
-        serialize(random_corpus(random.Random(6), 20000), corpus_path)
-        out = tmp_path / "out"
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "sourcescope.cli", "extract", "--corpus", str(corpus_path),
-             "--out", str(out), "--parallel", "2"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        code, err, workers, out = _interrupted_run(
+            tmp_path, ["extract", "--parallel", "2"], 2, lambda proc, workers: os.kill(workers[0], signal.SIGKILL)
         )
-        workers: list = []
-        try:
-            deadline = time.monotonic() + 60
-            while proc.poll() is None and time.monotonic() < deadline:
-                workers = _live_children(proc.pid)
-                if len(workers) == 2 and out.is_dir() and any(out.glob(".*.tmp")):
-                    os.kill(workers[0], signal.SIGKILL)
-                    break
-                time.sleep(0.01)
-            _, err = proc.communicate(timeout=30)
-        finally:
-            for pid in _live_children(proc.pid) + workers:
-                _kill_quietly(pid)
-            proc.kill()
-            proc.wait()
-        if proc.returncode == cli.EXIT_OK:  # finished before a worker could be killed
+        if code == cli.EXIT_OK:  # finished before a worker could be killed
             assert sorted(path.name for path in out.iterdir()) == ["mentions.jsonl", "sentences.tsv"]
             return
-        assert proc.returncode == cli.EXIT_IO
+        assert code == cli.EXIT_IO
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
         assert sorted(path.name for path in out.iterdir()) == []
         assert workers and not [pid for pid in workers if _alive(pid)]
@@ -378,12 +389,13 @@ class TestExtract:
     def test_parallel_is_capped_at_the_usable_cpus(self, tmp_path, capsys, monkeypatch, parallel, cpus, expected):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         asked = []
+        original = extractor.map_chunks
 
-        def recording(articles, pattern_set, workers=1):
+        def recording(function, articles, context=(), workers=1):  # asks, then maps serially
             asked.append(workers)
-            return ((article, extractor.extract_mentions(article, pattern_set)) for article in articles)
+            return original(function, articles, context, 1)
 
-        monkeypatch.setattr(extractor, "iter_extract", recording)
+        monkeypatch.setattr(extractor, "map_chunks", recording)
         for command in (["extract"], ["evaluate", "--gold", str(GOLDEN_GOLD)], ["analyze"]):
             code, _, _ = run(
                 command + ["--corpus", str(GOLDEN_CORPUS), "--out", str(tmp_path / "out"), "--parallel", parallel],
@@ -646,9 +658,53 @@ class TestAnalyze:
             capsys,
         )
         assert code == cli.EXIT_LABELER
-        assert err.startswith("error:")
+        # one line, however many workers failed, naming the attempts of the first failure
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"(after {analytics.ATTEMPTS} attempts)" in err
         assert list(out.iterdir()) == []
         assert set(multiprocessing.active_children()) <= children  # the pool has shut down
+
+    def test_remote_labels_give_the_same_files_at_any_parallelism(self, tmp_path, capsys):
+        requests = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):  # a topic derived from the text
+                text = self.rfile.read(int(self.headers["Content-Length"])).decode("utf-8")
+                requests.append(text)
+                label = f"Topic {len(text.split()) % 7}".encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(label)))
+                self.end_headers()
+                self.wfile.write(label)
+
+            def log_message(self, *args):
+                pass
+
+        corpus_path = tmp_path / "corpus.jsonl"
+        articles = random_corpus(random.Random(12), 300)  # three chunks of the pool
+        serialize(articles, corpus_path)
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{server.server_port}/label"
+        runs = {}
+        try:
+            for workers in ("1", "2"):
+                out = tmp_path / f"out{workers}"
+                code, stdout, err = run(
+                    ["analyze", "--corpus", str(corpus_path), "--out", str(out), "--labeler", "remote",
+                     "--labeler-url", url, "--parallel", workers],
+                    capsys,
+                )
+                assert code == cli.EXIT_OK, err
+                runs[workers] = stdout, {path.name: path.read_bytes() for path in out.iterdir()}
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert runs["1"] == runs["2"]
+        assert b"Topic " in runs["1"][1]["topics_top.csv"]
+        unlabeled = [a.headline + "\n" + a.body for a in articles if not a.topic]
+        assert sorted(requests) == sorted(unlabeled * 2)  # each unlabeled article, once per run
 
     def test_remote_requires_url(self, tmp_path, capsys):
         code, _, err = run(

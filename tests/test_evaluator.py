@@ -105,7 +105,7 @@ class TestMetrics:
         assert macro.recall == pytest.approx(84.23, abs=0.005)
 
     def test_zero_counts_report_zero(self):
-        report = metrics(ConfusionCounts.zero())
+        report = metrics(ConfusionCounts())
         for row in report.per_kind.values():
             assert (row.precision, row.recall, row.f1) == (0.0, 0.0, 0.0)
         assert report.micro.f1 == 0.0

@@ -4,7 +4,7 @@ from datetime import date
 
 import pytest
 
-from conftest import random_corpus, random_sentence
+from conftest import random_body, random_corpus, random_sentence
 
 from sourcescope import extractor
 from sourcescope.corpus import Article, MediaType
@@ -328,7 +328,7 @@ class TestCouldCiteGate:
         seen = {"closed": 0, "cited": 0, "unkeyed": 0, "extra_hits": 0}
         for i in range(3000):
             art = article(gate_body(rng, phrases, words, extra_phrases), i)
-            result = extract_mentions(art, ps)
+            result = extract_mentions(art, ps, sentences=True)
             assert result == ungated_extract(art, ps), art.body
             seen["closed"] += not could_cite(art.body, ps)
             if result.mentions:
@@ -348,10 +348,37 @@ class TestCouldCiteGate:
         calls = []
         real = extractor.classify_sentence
         monkeypatch.setattr(extractor, "classify_sentence", lambda s, ps: calls.append(s) or real(s, ps))
-        quiet = extract_mentions(article("The council met. Residents waited! Officials spoke?"), pattern_set)
+        quiet_body = "The council met. Residents waited! Officials spoke?"
+        quiet = extract_mentions(article(quiet_body), pattern_set, sentences=True)
         assert calls == [] and len(quiet.sentences) == 3
         extract_mentions(article("The council met. She tweeted about it. Residents waited."), pattern_set)
         assert calls == ["The council met.", "She tweeted about it.", "Residents waited."]
+
+
+class TestWithoutSentences:
+    """extract_mentions without sentences: the same mentions and quote count, and no span list."""
+
+    def test_same_mentions_and_quote_count_as_with_sentences(self, pattern_set):
+        rng = random.Random(61)
+        bodies = [article(random_body(rng), i) for i in range(300)] + list(random_corpus(rng, 100))
+        for art in bodies:
+            with_spans = extract_mentions(art, pattern_set, sentences=True)
+            without = extract_mentions(art, pattern_set)
+            assert without.mentions == with_spans.mentions == naive_extract(art, pattern_set)
+            assert without.direct_quote_count == with_spans.direct_quote_count
+            assert without.sentences == () and with_spans.sentences == tuple(
+                (span.start, span.end) for span in segment(art.body)
+            )
+
+    def test_body_that_cannot_cite_is_not_segmented(self, pattern_set, monkeypatch):
+        segmented = []
+        monkeypatch.setattr(extractor, "segment", lambda text, quotes: segmented.append(text) or segment(text, quotes))
+        quiet, cited = "The council met. Residents waited.", "The council met. She tweeted about it."
+        extract_mentions(article(quiet), pattern_set)
+        assert segmented == []
+        extract_mentions(article(cited), pattern_set)
+        extract_mentions(article(quiet), pattern_set, sentences=True)
+        assert segmented == [cited, quiet]
 
 
 class TestExtractCorpus:

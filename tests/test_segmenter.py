@@ -5,7 +5,11 @@ from bisect import bisect_right
 from conftest import random_body
 
 from sourcescope.patterns import OPENING_QUOTE_CHARS, extract_quote_spans
-from sourcescope.segmenter import _TERMINATOR_RE, ABBREVIATIONS, segment, sentences
+from sourcescope.segmenter import _TERMINATOR_RE, ABBREVIATIONS, segment
+
+
+def sentences(text):
+    return [text[s.start:s.end] for s in segment(text)]
 
 
 def test_empty_text():
