@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import http.client
 import json
 import re
 import time
-import urllib.error
-import urllib.request
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -352,6 +349,9 @@ class RemoteTopicLabeler:
         self.token = token
 
     def label(self, text: str) -> Optional[str]:
+        import http.client  # HTTP and TLS load at the first request, not with the package
+        import urllib.error
+        import urllib.request
         headers = {"Content-Type": "text/plain; charset=utf-8"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"

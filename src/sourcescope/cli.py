@@ -9,13 +9,12 @@ import shutil
 import signal
 import sys
 import tempfile
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing, contextmanager
 from functools import reduce
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from sourcescope import analytics, evaluator, extractor
+from sourcescope import extractor
 from sourcescope._fmt import escape_cell, fmt2
 from sourcescope.corpus import Article, CorpusReader, Rejection, chosen_articles, serialize, stratified_sample
 from sourcescope.patterns import PatternSet, default_patterns, load_patterns
@@ -48,6 +47,7 @@ def _out_dir(path):
 
 
 def _labeler(args: argparse.Namespace):
+    from sourcescope import analytics
     if args.labeler == "remote" and not args.labeler_url:
         raise ValueError("--labeler remote requires --labeler-url")
     if args.labeler != "remote" and args.labeler_url:
@@ -90,7 +90,9 @@ def _writing_sentences(pairs, fh):
     """Pass the results through, writing each article's sentences.tsv rows on the way."""
     for article, result in pairs:
         for index, (start, end) in enumerate(result.sentences):
-            fh.write(f"{article.id}\t{index}\t{escape_cell(article.body[start:end])}\n")
+            cell = article.body[start:end]
+            # a printable cell holds no tab and no line boundary, so escape_cell would return it as it is
+            fh.write(f"{article.id}\t{index}\t{cell if cell.isprintable() else escape_cell(cell)}\n")
         yield result
 
 
@@ -107,6 +109,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from sourcescope import evaluator
     gold = evaluator.load_gold(args.gold)
     pattern_set = _load_patterns(args.patterns)
     with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader, _out_dir(args.out) as out:
@@ -125,6 +128,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from sourcescope import analytics
     labeler = _labeler(args)
     pattern_set = _load_patterns(args.patterns)
     with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader, _out_dir(args.out) as out:
@@ -132,7 +136,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         with closing(extractor.map_chunks(
             analytics.accumulate_chunk, _articles(reader), (pattern_set, labeler), _workers(args)
         )) as accs:
-            acc = reduce(analytics.StatsAccumulator.merge, accs, analytics.StatsAccumulator())
+            try:
+                acc = reduce(analytics.StatsAccumulator.merge, accs, analytics.StatsAccumulator())
+            except analytics.LabelerError as exc:  # nothing is staged yet, so --out stays as it was
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_LABELER
         media = analytics.media_report(acc)
         trend = analytics.trend_report(acc)
         ratio = analytics.ratio_report(acc)
@@ -228,17 +236,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
-    except analytics.LabelerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LABELER
     except ValueError as exc:  # bad records, patterns, gold lines and usage; JSON errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except BrokenProcessPool as exc:  # a worker died, killed or out of memory
-        print(f"error: extraction worker died: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

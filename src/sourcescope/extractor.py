@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import signal
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -147,26 +146,31 @@ def map_chunks(function, articles: Iterable[Article], context: tuple = (), worke
     chunk, read as function reads it. With workers, chunks of CHUNK_ARTICLES
     articles go to a pool, at most CHUNKS_PER_WORKER * workers of them in
     flight, and each worker gets function and context once, through the pool
-    initializer. Closing the generator cancels the chunks not yet started and
-    waits for the running ones.
+    initializer (only then are concurrent.futures and multiprocessing loaded).
+    Closing the generator cancels the chunks not yet started and waits for the
+    running ones; a worker that dies raises OSError.
     """
     if workers <= 1:
         yield from function(articles, *context)
         return
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     source = iter(articles)
     chunks = iter(lambda: list(islice(source, CHUNK_ARTICLES)), [])
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(function, context)) as executor:
-        pending: deque = deque()  # of futures of the chunks' output lists
-        try:
-            for chunk in chunks:
-                pending.append(executor.submit(_run_chunk, chunk))
-                if len(pending) == workers * CHUNKS_PER_WORKER:
+    try:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(function, context)) as pool:
+            pending: deque = deque()  # of futures of the chunks' output lists
+            try:
+                for chunk in chunks:
+                    pending.append(pool.submit(_run_chunk, chunk))
+                    if len(pending) == workers * CHUNKS_PER_WORKER:
+                        yield from pending.popleft().result()
+                while pending:
                     yield from pending.popleft().result()
-            while pending:
-                yield from pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+            finally:
+                for future in pending:
+                    future.cancel()
+    except BrokenProcessPool as exc:  # a worker died, killed or out of memory
+        raise OSError(f"extraction worker died: {exc}") from None
 
 
 def _extract_chunk(articles, pattern_set: PatternSet, sentences: bool) -> Iterator[ExtractionResult]:

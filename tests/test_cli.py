@@ -3,6 +3,7 @@
 import csv
 import errno
 import http.server
+import io
 import json
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from sourcescope import analytics, cli, corpus, evaluator, extractor, patterns, segmenter
+from sourcescope._fmt import escape_cell
 from sourcescope.corpus import ingest, serialize
 from sourcescope.segmenter import segment
 
@@ -295,6 +297,37 @@ class TestExtract:
         for index, line in enumerate(lines):
             assert line.split("\t")[:2] == ["a1", str(index)]
             assert len(line.split("\t")) == 3
+
+    def test_sentences_tsv_rows_equal_the_escape_every_cell_writer(self, tmp_path, pattern_set):
+        def escaping_every_cell(pairs, fh):  # the reference: escape_cell on every cell
+            for article, result in pairs:
+                for index, (start, end) in enumerate(result.sentences):
+                    fh.write(f"{article.id}\t{index}\t{escape_cell(article.body[start:end])}\n")
+                yield result
+
+        # a tab, every str.splitlines boundary, then spaces and a soft hyphen that are not line boundaries
+        odd = ["\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+               "\xa0", "\u2009", "\u3000", "\xad"]
+        bodies = [f"She tweeted{c}that the plan was ready. The mayor{c}{c}wrote on Facebook.{c}" for c in odd]
+        bodies += [c + "".join(odd) + " Done. " + "x".join(odd) for c in odd]
+        write_jsonl(tmp_path / "corpus.jsonl", [dict(GOOD_RECORD, id=f"a{i}", body=b) for i, b in enumerate(bodies)])
+        articles = ingest(tmp_path / "corpus.jsonl").articles
+
+        def rows(writer):
+            fh = io.StringIO()
+            pairs = extractor.iter_extract(articles, pattern_set, sentences=True)
+            assert len(list(writer(pairs, fh))) == len(articles)
+            return fh.getvalue()
+
+        expected = rows(escaping_every_cell)
+        assert expected.count("\n") > len(articles)
+        assert rows(cli._writing_sentences) == expected
+
+    def test_a_printable_cell_is_its_own_escape(self):
+        # the premise of the writer's shortcut, over every code point but the surrogates
+        for code in (*range(0xD800), *range(0xE000, 0x110000)):
+            cell = f"a{chr(code)}b"
+            assert not cell.isprintable() or escape_cell(cell) == cell, hex(code)
 
     def test_interrupted_run_leaves_no_output_file(self, tmp_path, capsys, monkeypatch):
         corpus_path = tmp_path / "corpus.jsonl"
