@@ -75,15 +75,10 @@ def _articles(reader: CorpusReader):
     return (record for record in reader if isinstance(record, Article))
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _workers(args: argparse.Namespace) -> int:
     """The worker processes to extract with: --parallel, capped at one per usable CPU."""
-    return min(args.parallel, _usable_cpus())
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+    return min(args.parallel, cpus)
 
 
 def _writing_sentences(pairs, fh):

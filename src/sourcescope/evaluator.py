@@ -10,9 +10,6 @@ from sourcescope._fmt import fmt2, pct, write_lines
 from sourcescope.extractor import KIND_ORDER, Kind, SourceMention
 from sourcescope.patterns import Platform
 
-KIND_LABELS = {Kind.QUOTATION: "Quotation", Kind.PARAPHRASE: "Paraphrase", Kind.EMBEDDING: "Embedding"}
-
-
 @dataclass(frozen=True)
 class GoldAnnotation:
     article_id: str
@@ -156,20 +153,14 @@ REPORTED_RESULTS = {
 def f1_transposition_note(report: EvalReport) -> Optional[str]:
     """A note when the computed F1s match the reported table with Quotation
     and Paraphrase swapped; None otherwise."""
-
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) <= 0.01 + 1e-9  # one unit in the last place of a two-decimal cell
-
     q = report.per_kind[Kind.QUOTATION]
     p = report.per_kind[Kind.PARAPHRASE]
     rq = REPORTED_RESULTS[Kind.QUOTATION]
     rp = REPORTED_RESULTS[Kind.PARAPHRASE]
-    if not (close(q.precision, rq.precision) and close(q.recall, rq.recall)):
-        return None
-    if not (close(p.precision, rp.precision) and close(p.recall, rp.recall)):
-        return None
-    # the reported F1 cells differ by far more than the tolerance, so a match as reported fails this test
-    if close(q.f1, rp.f1) and close(p.f1, rq.f1):
+    # F1s pair across rows; the reported F1 cells differ by far more than the tolerance, so a match as reported fails
+    cells = ((q.precision, rq.precision), (q.recall, rq.recall), (p.precision, rp.precision),
+             (p.recall, rp.recall), (q.f1, rp.f1), (p.f1, rq.f1))
+    if all(abs(a - b) <= 0.01 + 1e-9 for a, b in cells):  # one unit in the last place of a two-decimal cell
         return (
             "note: recomputed Quotation/Paraphrase F1 values "
             f"({fmt2(q.f1)}, {fmt2(p.f1)}) match the reported table with the "
@@ -181,7 +172,7 @@ def f1_transposition_note(report: EvalReport) -> Optional[str]:
 
 def report_rows(report: EvalReport) -> list[tuple[str, MetricRow]]:
     """The report's rows in reporting order: Quotation, Paraphrase, Embedding, Macro-average, Micro-average."""
-    rows = [(KIND_LABELS[kind], report.per_kind[kind]) for kind in KIND_ORDER]
+    rows = [(kind.value.capitalize(), report.per_kind[kind]) for kind in KIND_ORDER]
     return rows + [("Macro-average", report.macro), ("Micro-average", report.micro)]
 
 

@@ -8,7 +8,7 @@ from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import islice
+from itertools import islice, tee
 from typing import Iterable, Iterator, Optional
 
 from sourcescope._fmt import write_lines
@@ -71,27 +71,21 @@ def classify_sentence(sentence: str, pattern_set: PatternSet) -> list[tuple]:
     hit is a Quotation when the sentence carries quote signs, else a
     Paraphrase. Returns (platform, kind, (start, end), pattern_id) tuples.
     """
-    emissions: list[tuple] = []
     first_hit: dict[Platform, object] = {}
     for hit in match_patterns(sentence, pattern_set):
         first_hit.setdefault(hit.platform, hit)
-
     embedding_span = find_embedding_span(sentence)
-    if embedding_span is not None:
-        emissions.append((Platform.TWITTER, Kind.EMBEDDING, embedding_span, None))
-        first_hit.pop(Platform.TWITTER, None)
-
+    emissions: list[tuple] = []
     quoted: Optional[bool] = None
-    for platform in (Platform.FACEBOOK, Platform.TWITTER):
+    for platform in (Platform.FACEBOOK, Platform.TWITTER):  # emissions in platform order
         hit = first_hit.get(platform)
-        if hit is None:
-            continue
-        if quoted is None:
-            quoted = contains_quote_signs(sentence)
-        kind = Kind.QUOTATION if quoted else Kind.PARAPHRASE
-        emissions.append((platform, kind, (hit.start, hit.end), hit.pattern_id))
-
-    emissions.sort(key=lambda e: e[0].value)
+        if platform is Platform.TWITTER and embedding_span is not None:
+            emissions.append((platform, Kind.EMBEDDING, embedding_span, None))
+        elif hit is not None:
+            if quoted is None:
+                quoted = contains_quote_signs(sentence)
+            kind = Kind.QUOTATION if quoted else Kind.PARAPHRASE
+            emissions.append((platform, kind, (hit.start, hit.end), hit.pattern_id))
     return emissions
 
 
@@ -182,20 +176,14 @@ def iter_extract(
 ) -> Iterator[tuple[Article, ExtractionResult]]:
     """Yield each article paired with its result, in input order regardless of parallelism.
 
-    Articles are read as map_chunks reads them, and wait in `drawn` for
-    their results, as workers return only results. Closing the generator
+    Articles are read as map_chunks reads them, and wait in the tee's buffer
+    for their results, as workers return only results. Closing the generator
     closes map_chunks.
     """
-    drawn: deque = deque()
-
-    def drawing():
-        for article in articles:
-            drawn.append(article)
-            yield article
-
-    with closing(map_chunks(_extract_chunk, drawing(), (pattern_set, sentences), workers)) as results:
-        for result in results:
-            yield drawn.popleft(), result
+    source, drawn = tee(articles)
+    with closing(map_chunks(_extract_chunk, source, (pattern_set, sentences), workers)) as results:
+        for result, article in zip(results, drawn):  # results first: only map_chunks reads the stream
+            yield article, result
 
 
 def extract_corpus(articles: Iterable[Article], pattern_set: PatternSet, workers: int = 1) -> list[ExtractionResult]:

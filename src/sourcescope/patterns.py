@@ -288,36 +288,16 @@ def extract_quote_spans(text: str) -> list[QuoteSpan]:
     """
     spans: list[QuoteSpan] = []
     pos = 0
-    n = len(text)
-    while pos < n:
-        m = _MARK_RE.search(text, pos)
-        if m is None:
-            break
-        mark = m.group()
-        open_mark = mark if mark in _OPEN_MARKS else None
-        if open_mark in ("'",) and _is_apostrophe(text, m.start()):
-            open_mark = None
-        if open_mark is None:
-            pos = m.end()
+    while m := _MARK_RE.search(text, pos):
+        open_mark = m.group()
+        pos = m.end()
+        if open_mark not in _OPEN_MARKS or (open_mark == "'" and _is_apostrophe(text, m.start())):
             continue
-
         close_mark = _OPEN_MARKS[open_mark]
-        content_start = m.end()
-        search_from = content_start
-        closed_at = -1
-        while True:
-            k = text.find(close_mark, search_from)
-            if k < 0:
-                break
-            if close_mark in ("'", "’") and _is_apostrophe(text, k):
-                search_from = k + 1
-                continue
-            closed_at = k
-            break
-        if closed_at < 0:
-            # unbalanced open: keep scanning after it
-            pos = content_start
-            continue
-        spans.append(QuoteSpan(content_start, closed_at, open_mark, close_mark))
-        pos = closed_at + len(close_mark)
+        k = text.find(close_mark, pos)
+        while k >= 0 and close_mark in ("'", "’") and _is_apostrophe(text, k):
+            k = text.find(close_mark, k + 1)
+        if k >= 0:  # an unbalanced open yields no span; the scan goes on after it
+            spans.append(QuoteSpan(pos, k, open_mark, close_mark))
+            pos = k + len(close_mark)
     return spans

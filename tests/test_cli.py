@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import csv
 import errno
 import http.server
@@ -440,9 +441,9 @@ class TestExtract:
     def test_usable_cpus_without_affinity_falls_back_to_the_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert cli._usable_cpus() == 3
+        assert cli._workers(argparse.Namespace(parallel=8)) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert cli._usable_cpus() == 1
+        assert cli._workers(argparse.Namespace(parallel=8)) == 1
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_missing_corpus_exits_before_out_is_created(self, tmp_path, capsys, workers):

@@ -336,3 +336,81 @@ def test_pattern_set_rejects_unnormalized_phrase():
                 CitationPattern("y", Platform.FACEBOOK, "posted on facebook"),
             ]
         )
+
+
+# --- quote-span oracle ---
+
+# every mark of the table, with letters, digits and spaces for the apostrophe test's flanks
+_ORACLE_MARKS = sorted({m for pair in _PAIR_TABLE for m in pair})
+_ORACLE_FLANKS = ["a", "Z", "é", "7", "٣", " ", "\n", ",", "it", "x9"]
+_ORACLE_MARK_RE = re.compile("|".join(re.escape(m) for m in sorted(_ORACLE_MARKS, key=len, reverse=True)))
+
+
+def _oracle_is_apostrophe(text, pos):
+    return 0 < pos < len(text) - 1 and text[pos - 1].isalnum() and text[pos + 1].isalnum()
+
+
+def naive_quote_spans(text):
+    """The quote-span scan as first written: a reference for extract_quote_spans, as (start, end, open, close)."""
+    pairs = dict(_PAIR_TABLE)
+    spans = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        m = _ORACLE_MARK_RE.search(text, pos)
+        if m is None:
+            break
+        mark = m.group()
+        open_mark = mark if mark in pairs else None
+        if open_mark in ("'",) and _oracle_is_apostrophe(text, m.start()):
+            open_mark = None
+        if open_mark is None:
+            pos = m.end()
+            continue
+
+        close_mark = pairs[open_mark]
+        content_start = m.end()
+        search_from = content_start
+        closed_at = -1
+        while True:
+            k = text.find(close_mark, search_from)
+            if k < 0:
+                break
+            if close_mark in ("'", "’") and _oracle_is_apostrophe(text, k):
+                search_from = k + 1
+                continue
+            closed_at = k
+            break
+        if closed_at < 0:
+            # unbalanced open: keep scanning after it
+            pos = content_start
+            continue
+        spans.append((content_start, closed_at, open_mark, close_mark))
+        pos = closed_at + len(close_mark)
+    return spans
+
+
+def quote_oracle_text(rng):
+    """A short string of marks and flanks: edges, adjacent runs and unclosed opens all occur."""
+    out = []
+    for _ in range(rng.randint(0, 12)):
+        out.append(rng.choice(_ORACLE_MARKS if rng.random() < 0.45 else _ORACLE_FLANKS))
+    return "".join(out)
+
+
+def test_naive_quote_spans_agrees_with_examples():
+    assert naive_quote_spans("it's 'ok'") == [(6, 8, "'", "'")]
+    assert naive_quote_spans("“It’s fine,” she said") == [(1, 11, "“", "”")]
+    assert naive_quote_spans('a "b') == []
+    assert naive_quote_spans("``x''") == [(2, 3, "``", "''")]
+
+
+def test_quote_spans_equal_naive_oracle():
+    rng = random.Random(2718)
+    pairs_seen = set()
+    for _ in range(50000):
+        text = quote_oracle_text(rng)
+        expected = naive_quote_spans(text)
+        assert [(s.start, s.end, s.open_mark, s.close_mark) for s in extract_quote_spans(text)] == expected, text
+        pairs_seen.update((open_mark, close_mark) for _, _, open_mark, close_mark in expected)
+    assert pairs_seen == set(_PAIR_TABLE)
