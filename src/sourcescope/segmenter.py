@@ -9,7 +9,7 @@ always splits. Offsets are character offsets in the decoded text.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from itertools import groupby
 from typing import NamedTuple, Optional, Sequence
 
 from sourcescope.patterns import OPENING_QUOTE_CHARS, QuoteSpan, extract_quote_spans
@@ -21,13 +21,22 @@ ABBREVIATIONS = frozenset(
     }
 )
 
-# a terminator run followed by whitespace; group 2 is the next non-space
-# character, or "" at end of text. The run is spelled [.!?][.!?]*, not
-# [.!?]+: re skips ahead to a candidate fast only when a pattern opens with
-# a single character set, not with a repeat (over newswire bodies the scan
-# takes less than half the time).
-_TERMINATOR_RE = re.compile(r"([.!?][.!?]*)(?=\s+(\S?))")
-_PARAGRAPH_RE = re.compile(r"\n[ \t]*\n")
+# A terminator run, then whitespace (group 1). The regex makes the token tests:
+# its lookbehinds refuse a single '.' ending a whole-token abbreviation (one per
+# width; one per abbreviation scans much slower) or an ASCII initial, by case
+# classes, as re.IGNORECASE would take 'ſ' and the Kelvin sign. Groups 2 and 3,
+# a non-ASCII next character and one-letter token, are left to segment. The run
+# is [.!?][.!?]*, as re skips ahead fast only to a pattern opening with one set.
+_ABBREVIATIONS_BY_WIDTH = [re.sub("[a-z]", lambda c: f"[{c[0].upper()}{c[0]}]", "|".join(map(re.escape, same)))
+                           for _, same in groupby(sorted(ABBREVIATIONS, key=lambda a: (len(a), a)), len)]
+_TERMINATOR_RE = re.compile(
+    r"[.!?][.!?]*"
+    + "".join(rf"(?<!(?<!\S)(?:{alternation}))" for alternation in _ABBREVIATIONS_BY_WIDTH)
+    + r"(?<!(?<!\S)[A-Z]\.)"
+    + rf"(?=(\s+)(?:[A-Z{re.escape(''.join(sorted(OPENING_QUOTE_CHARS)))}]|\Z|([^\s\x00-\x7f])))"
+    + r"(?:(?<=(?<!\S)([^\s\x00-\x7f])\.))?"
+)
+_PARAGRAPH_RE = re.compile(r"\n[ \t]*\n\s*")  # ends where the next sentence starts
 
 
 class SentenceSpan(NamedTuple):
@@ -38,39 +47,30 @@ class SentenceSpan(NamedTuple):
 
 def segment(text: str, quotes: Optional[Sequence[QuoteSpan]] = None) -> list[SentenceSpan]:
     """Sentence spans of text; `quotes` is extract_quote_spans(text) when already known."""
-    splits = {m.start() for m in _PARAGRAPH_RE.finditer(text)}
-
-    if quotes is None:
-        quotes = extract_quote_spans(text)
-    region_starts = [q.start for q in quotes]
-    region_ends = [q.end for q in quotes]
-
+    cuts = []  # (end of the sentence before, start of the one after)
+    for m in _PARAGRAPH_RE.finditer(text):
+        end = m.start()
+        while end and text[end - 1].isspace():
+            end -= 1
+        cuts.append((end, m.end()))
+    regions = iter(extract_quote_spans(text) if quotes is None else quotes)  # sorted and disjoint
+    region = next(regions, None)
     for m in _TERMINATOR_RE.finditer(text):
-        nxt = m.group(2)
-        if nxt and not (nxt.isupper() or nxt in OPENING_QUOTE_CHARS):
+        # groups 2 and 3 close after group 1, so lastindex is 1 unless one of them matched
+        if m.lastindex > 1 and (m[2] and not m[2].isupper() or m[3] and m[3].isupper()):
             continue
-        i = bisect_right(region_starts, m.start()) - 1
-        if i >= 0 and m.start() < region_ends[i]:
+        pos = m.start()
+        while region is not None and region.end <= pos:
+            region = next(regions, None)
+        if region is not None and region.start <= pos:
             continue  # inside a quote span
-        end = m.end()
-        if m.group(1) == ".":
-            # the whitespace-free token ending here, cut to its last 6 characters:
-            # abbreviations have at most 4 and initials 2, so the cut never matters
-            token = text[max(0, end - 6):end].split()[-1]
-            if token.lower() in ABBREVIATIONS:
-                continue
-            # single-letter initials ("Donald J. Trump") never end a sentence
-            if len(token) == 2 and token[0].isupper():
-                continue
-        splits.add(end)
-
+        cuts.append((m.end(), m.end(1)))
+    cuts.sort()
+    cuts.append((len(text.rstrip()), len(text)))
     spans: list[SentenceSpan] = []
-    prev = 0
-    for boundary in sorted(splits) + [len(text)]:
-        segment_text = text[prev:boundary]
-        left = len(segment_text) - len(segment_text.lstrip())
-        right = len(segment_text.rstrip())
-        if right > left:
-            spans.append(SentenceSpan(len(spans), prev + left, prev + right))
-        prev = boundary
+    start = len(text) - len(text.lstrip())
+    for end, after in cuts:
+        if end > start:
+            spans.append(SentenceSpan(len(spans), start, end))
+        start = after
     return spans

@@ -373,14 +373,14 @@ class TestExtract:
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process parents from /proc")
     def test_sigterm_removes_temporary_files_and_stops_workers(self, tmp_path):
-        code, _, workers, out = _interrupted_run(
+        code, err, workers, out = _interrupted_run(
             tmp_path, ["extract", "--parallel", "2"], 2, lambda proc, workers: proc.send_signal(signal.SIGTERM)
         )
         if code == cli.EXIT_OK:  # finished before the signal could be sent
             assert sorted(path.name for path in out.iterdir()) == ["mentions.jsonl", "sentences.tsv"]
             assert len((out / "sentences.tsv").read_text(encoding="utf-8").splitlines()) > 20000
             return
-        assert code == -signal.SIGTERM
+        assert code == -signal.SIGTERM, err
         assert sorted(path.name for path in out.iterdir()) == []
         assert workers and not [pid for pid in workers if _alive(pid)]
 

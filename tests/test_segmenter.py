@@ -1,5 +1,8 @@
+import itertools
 import random
 import re
+import string
+import sys
 from bisect import bisect_right
 
 from conftest import random_body
@@ -168,11 +171,11 @@ _ORACLE_SPACES = (
 _ORACLE_QUOTES = ("``", "''", "\u201c", "\u201d", "\u2018", "\u2019", "\u00ab", "\u00bb", '"', "`", "'")
 
 
-def oracle_text(rng):
+def oracle_text(rng, spaces=_ORACLE_SPACES):
     out = []
     for k in range(rng.randint(1, 12)):
         if k:
-            out.append(rng.choice(_ORACLE_SPACES))
+            out.append(rng.choice(spaces))
         if rng.random() < 0.15:
             out.append(rng.choice(_ORACLE_QUOTES))
         out.append(rng.choice(_ORACLE_WORDS))
@@ -180,7 +183,7 @@ def oracle_text(rng):
         if rng.random() < 0.15:
             out.append(rng.choice(_ORACLE_QUOTES))
     if rng.random() < 0.2:
-        out.append(rng.choice(_ORACLE_SPACES))
+        out.append(rng.choice(spaces))
     return "".join(out)
 
 
@@ -201,14 +204,71 @@ def test_segment_equals_naive_oracle():
     assert splits > 50000
 
 
-_PLUS_TERMINATOR_RE = re.compile(r"([.!?]+)(?=\s+(\S?))")
+# line breaks that are no paragraph break, and spaces around one
+_ORACLE_WIDE_SPACES = _ORACLE_SPACES + (
+    "\r\n", "\r\n\r\n", " \r\n\n", "\x0b", "\x0c", "\x0c\n\n", "  \n\n", " \t\n\n", "\xa0\n \n\u3000", "\n\n\n",
+)
+
+
+def test_segment_equals_naive_oracle_with_wide_whitespace():
+    # a paragraph cut's sentence end is found by stepping back over the whitespace before it
+    rng = random.Random(8642)
+    splits = 0
+    for _ in range(20000):
+        text = rng.choice(("", "", "", "\n\n", " \n\t\n", "\r\n ")) + oracle_text(rng, _ORACLE_WIDE_SPACES)
+        expected = naive_segment(text)
+        assert [tuple(span) for span in segment(text)] == expected, repr(text)
+        splits += len(expected) - 1
+    assert splits > 20000
+
+
+_PLUS_TERMINATOR_RE = re.compile(_TERMINATOR_RE.pattern.replace("[.!?][.!?]*", "[.!?]+", 1))
 _TERMINATOR_ALPHABET = ".!?" * 3 + " \t\n\x0b\x1c\x85\xa0\u2028\u3000" + "aZ9\xc9\"\u201c'" + "\ud800"
 
 
 def test_terminator_regex_equals_plus_spelling():
+    assert _PLUS_TERMINATOR_RE.pattern != _TERMINATOR_RE.pattern
     rng = random.Random(77)
     for _ in range(20000):
         text = "".join(rng.choice(_TERMINATOR_ALPHABET) for _ in range(rng.randint(0, 24)))
         assert [(m.span(), m.groups()) for m in _TERMINATOR_RE.finditer(text)] == [
             (m.span(), m.groups()) for m in _PLUS_TERMINATOR_RE.finditer(text)
         ], repr(text)
+
+
+def _kept_run_ends(text):
+    """Where segment cuts after a terminator run, quote spans aside: the regex's
+    matches that pass segment's tests of a non-ASCII next character or initial."""
+    return {m.end() for m in _TERMINATOR_RE.finditer(text)
+            if not (m[2] and not m[2].isupper() or m[3] and m[3].isupper())}
+
+
+def test_terminator_regex_decides_as_the_token_rules():
+    # the premise of the regex-side tests: they decide as naive_segment's token rules
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    # every case variant of every abbreviation, also with the non-ASCII letters that
+    # re.IGNORECASE matches to ASCII ones
+    lookalikes = set(re.findall("[a-z]", "".join(chars), re.IGNORECASE)) - set(string.ascii_letters)
+    assert lookalikes == {"İ", "ı", "ſ", "\u212a"}
+    for abbreviation in ABBREVIATIONS:
+        cases = [{c, c.upper(), *(x for x in lookalikes if re.fullmatch(re.escape(c), x, re.IGNORECASE))}
+                 for c in abbreviation]
+        for variant in map("".join, itertools.product(*cases)):
+            for before in ("", " ", "\u3000", "x", "."):
+                token = (before + variant).split()[-1]
+                kept = len(before + variant) in _kept_run_ends(f"{before}{variant} A")
+                assert kept == (token.lower() not in ABBREVIATIONS), before + variant
+    # every code point c as a one-letter token, in chunks " c. A": only an upper c can be refused
+    kept = _kept_run_ends(" " + ". A ".join(chars) + ". A")
+    refused = {
+        5 * k + 3 for k in itertools.compress(itertools.count(), map(str.isupper, chars))
+        if chars[k] not in ".!?" and len(token := f"{chars[k]}.".split()[-1]) == 2 and token[0].isupper()
+    }
+    expected = set(range(3, 5 * len(chars), 5)) - refused
+    assert kept == expected, sorted(kept ^ expected)[:5]
+    # every non-space code point as the next character, in chunks " ab. c"
+    nexts = [c for c in chars if not c.isspace()]
+    kept = _kept_run_ends(" ab. " + " ab. ".join(nexts))
+    accepted = set(itertools.compress(itertools.count(4, 6), map(str.isupper, nexts)))
+    accepted |= {6 * nexts.index(quote) + 4 for quote in OPENING_QUOTE_CHARS}
+    assert kept == accepted, sorted(kept ^ accepted)[:5]
