@@ -44,39 +44,46 @@ class QuoteSpan:
 
 
 def _compile_phrase(phrase: str, anchored: str) -> re.Pattern:
-    body = r"\s+".join(re.escape(word) for word in phrase.split())
-    left = r"(?<!\w)"
-    right = r"(?!\w)" if anchored == "both" else ""
-    return re.compile(left + body + right, re.IGNORECASE)
+    # an ASCII phrase runs case-sensitively on fold_case(sentence), opening with its first word so that re skips
+    # ahead to it; any other keeps re.IGNORECASE on the sentence, which matches µ to μ (fold_case keeps them apart)
+    first, *rest = (re.escape(word) for word in phrase.split())
+    tail = "".join(r"\s+" + word for word in rest) + (r"(?!\w)" if anchored == "both" else "")
+    if phrase.isascii():
+        return re.compile(rf"{first}(?<!\w{first}){tail}")
+    return re.compile(rf"(?<!\w){first}{tail}", re.IGNORECASE)
 
 
-# a phrase is filed under the first of these it contains
+# a phrase is grouped under the first of these it contains
 _PLATFORM_WORDS = ("facebook", "twitter", "tweet")
+_REQUIRED_WORD_RE = re.compile("[a-z0-9_]+")
+_WORD_RE = re.compile(r"\w+")
 
 
 def fold_case(text: str) -> str:
     """text lower-cased so that a character re.IGNORECASE matches to an ASCII letter becomes it.
 
-    str.lower() does that for every character but 'İ', 'ı' and 'ſ'. The
-    result has one character per character of text, and a character is a
-    word character in it iff it is one in text.
+    str.lower() does that for every character but 'İ', 'ı' and 'ſ', and turns no other
+    non-ASCII character into an ASCII one. The result has one character per character
+    of text, and a character is a word character, or whitespace, in it iff it is in text.
     """
     return text.replace("İ", "i").replace("ı", "i").replace("ſ", "s").lower()
 
 
-def _prescreen_words(phrase: str) -> tuple[str, frozenset[str]]:
-    """The phrase's group key and the words a sentence must contain for it to match.
+def _prescreen_words(phrase: str, anchored: str) -> tuple[str, frozenset[str]]:
+    """The phrase's group key and the words of fold_case(sentence) that a hit needs as whole \\w runs.
 
-    Only ASCII words are required: re.IGNORECASE can match a non-ASCII
-    letter to one that fold_case leaves apart (µ and μ). A phrase without
-    a platform word is filed under its longest such word, and under "",
-    which every sentence contains, when it has none.
+    Those are its [a-z0-9_]+ words: the \\s+ separators and the boundary
+    tests keep each a whole run, but for the last word of a left-anchored
+    phrase, which may end inside a longer one. A phrase without a platform
+    word is grouped under its longest ASCII word, and under "", which every
+    sentence contains, when it has none.
     """
-    words = tuple(word for word in phrase.split() if word.isascii())
+    words = phrase.split()
     key = next((w for w in _PLATFORM_WORDS if w in phrase), None)
     if key is None:
-        key = max(words, key=len, default="")
-    return key, frozenset(words)
+        key = max((w for w in words if w.isascii()), key=len, default="")
+    required = words if anchored == "both" else words[:-1]
+    return key, frozenset(w for w in required if _REQUIRED_WORD_RE.fullmatch(w))
 
 
 def _check_pattern(pat: CitationPattern, seen: set) -> None:
@@ -109,13 +116,13 @@ class PatternSet:
 
         self.patterns = pats
         self.version = version
-        # group key -> (words of all its phrases, [(pattern, its words, regex)])
-        self._groups: dict[str, tuple[set[str], list]] = {}
+        # group key -> filing word (longest required word but the key, else "") -> [(pattern, words, regex, on folded)]
+        self._groups: dict[str, dict[str, list]] = {}
         for pat in pats:
-            key, words = _prescreen_words(pat.phrase)
-            group_words, entries = self._groups.setdefault(key, (set(), []))
-            group_words.update(words)
-            entries.append((pat, words, _compile_phrase(pat.phrase, pat.anchored)))
+            key, words = _prescreen_words(pat.phrase, pat.anchored)
+            filed = max(words, key=lambda w: (w != key, len(w), w), default="")
+            entry = (pat, words, _compile_phrase(pat.phrase, pat.anchored), pat.phrase.isascii())
+            self._groups.setdefault(key, {}).setdefault(filed, []).append(entry)
 
 
 def load_patterns(path) -> PatternSet:
@@ -176,20 +183,22 @@ def match_patterns(sentence: str, pattern_set: PatternSet) -> list[PatternHit]:
     """All case-insensitive, word-boundary phrase occurrences, ordered by start.
 
     Overlapping hits from different patterns are all reported. A phrase's
-    regex runs only when each of its prescreen words occurs in the
-    case-folded sentence.
+    regex runs only when its group key occurs in the case-folded sentence
+    and each of its required words is a whole word there.
     """
     folded = fold_case(sentence)
     hits: list[PatternHit] = []
-    for key, (group_words, entries) in pattern_set._groups.items():
+    tokens: Optional[set[str]] = None
+    for key, filed in pattern_set._groups.items():
         if key not in folded:
             continue
-        present = {word for word in group_words if word in folded}
-        for pat, words, rx in entries:
-            if not words <= present:
-                continue
-            for m in rx.finditer(sentence):
-                hits.append(PatternHit(pat.id, pat.platform, m.start(), m.end()))
+        if tokens is None:
+            tokens = {"", *_WORD_RE.findall(folded)}
+        for word in filed.keys() & tokens:
+            for pat, words, rx, on_folded in filed[word]:
+                if words <= tokens:
+                    for m in rx.finditer(folded if on_folded else sentence):
+                        hits.append(PatternHit(pat.id, pat.platform, m.start(), m.end()))
     hits.sort(key=lambda h: (h.start, h.end, h.pattern_id))
     return hits
 
@@ -208,12 +217,10 @@ _ATTRIBUTION_RE = re.compile(
 _PIC_LINK_RE = re.compile(r"pic\.twitter\.com/\w+", re.IGNORECASE)
 _STATUS_LINK_RE = re.compile(r"twitter\.com/\w+/status(?:es)?/\d+", re.IGNORECASE)
 
-_EMBED_PRESCREEN = ("(@", "twitter.com")
-
 
 def find_embedding_span(sentence: str) -> Optional[tuple[int, int]]:
     """Offsets of the first embedded-tweet residue in the sentence, if any."""
-    if not any(marker in sentence for marker in _EMBED_PRESCREEN):
+    if "(@" not in sentence and "twitter.com" not in fold_case(sentence):  # the link rules ignore case
         return None
     for rx in (_ATTRIBUTION_RE, _PIC_LINK_RE, _STATUS_LINK_RE):
         m = rx.search(sentence)
@@ -225,14 +232,14 @@ def find_embedding_span(sentence: str) -> Optional[tuple[int, int]]:
 def could_cite(text: str, pattern_set: PatternSet) -> bool:
     """False only when no sentence cut from text can yield a phrase hit or an embedding.
 
-    A group key found in a sentence's case-folded text is also found in the
-    case-folded text holding it: each key is ASCII, and fold_case maps every
-    character that folds to ASCII on its own.
+    A group key or "twitter.com" found in a sentence's case-folded text is
+    also found in the case-folded text holding it: each is ASCII, and
+    fold_case maps every character that folds to ASCII on its own.
     """
-    if any(marker in text for marker in _EMBED_PRESCREEN):
+    if "(@" in text:
         return True
     folded = fold_case(text)
-    return any(key in folded for key in pattern_set._groups)
+    return any(key in folded for key in (*pattern_set._groups, "twitter.com"))
 
 
 # --- quote-mark table and scanning ---

@@ -1,5 +1,7 @@
 import multiprocessing
 import random
+import re
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -27,6 +29,7 @@ from sourcescope.patterns import (
     could_cite,
     extract_quote_spans,
     find_embedding_span,
+    fold_case,
     match_patterns,
 )
 from sourcescope.segmenter import segment
@@ -170,6 +173,36 @@ class TestPhraseOracle:
                 hits_by_kind["plain"] += len(hits)
         assert all(hits_by_kind.values()), hits_by_kind
 
+    def test_matcher_equals_oracle_on_each_prescreen_rule(self):
+        """A pattern set with a phrase for each rule of the word-set prescreen and of the regexes on folded text."""
+        rules = {
+            "left-anchored, last word a prefix": [("took to twit", "left"), ("tweet", "left")],
+            "digits and _": [("tweeted 24_7", "both"), ("posted 2 times on facebook", "both")],
+            "punctuated words": [("told u.s. facebook users", "both"), ("in a now-deleted facebook post", "both"),
+                                 ("tweeted #metoo", "both")],
+            "opens with a non-word character": [("#metoo tweet", "both"), ("@twitter said", "left")],
+            "non-ASCII": [("publicó en facebook", "both"), ("tuiteó que", "both")],
+        }
+        pats = [
+            CitationPattern(f"{rule}/{n}", Platform.FACEBOOK if "facebook" in phrase else Platform.TWITTER, phrase, anchored)
+            for rule, phrases in rules.items()
+            for n, (phrase, anchored) in enumerate(phrases)
+        ]
+        ps = PatternSet(pats, version="rules")
+        phrases = [p.phrase for p in pats]
+        words = sorted({w for phrase in phrases for w in phrase.split()} | {"twitter", "tweets", "facebook"})
+        # an ASCII phrase's first word right after a non-ASCII word character: no hit, on either side
+        glued = re.compile(r"[^\W\x00-\x7f](?:" + "|".join(re.escape(p.split()[0]) for p in phrases if p.isascii()) + ")")
+        rng = random.Random(2020)
+        seen = Counter()
+        for n in range(20000):
+            sentence = fuzz_sentence(rng, phrases, words, fold=n % 2 == 1)
+            hits = [(h.pattern_id, h.platform, h.start, h.end) for h in match_patterns(sentence, ps)]
+            assert hits == naive_phrase_hits(sentence, ps), sentence
+            seen.update(pid.split("/")[0] for pid, _, _, _ in hits)
+            seen["non-ASCII letter right before an ASCII phrase"] += bool(glued.search(fold_case(sentence)))
+        assert len(seen) == len(rules) + 1 and min(seen.values()) > 100, seen
+
 
 class TestClassifySentence:
     def test_quotation(self, pattern_set):
@@ -238,6 +271,25 @@ class TestExtractMentions:
         result = extract_mentions(article(body), pattern_set)
         assert result.mentions == ()
         assert result.direct_quote_count == 2
+
+    @pytest.mark.parametrize(
+        "body, span",
+        [
+            ("Photo: pic.Twitter.com/abc123", (7, 29)),
+            ("See Twitter.com/ann/status/123 now.", (4, 30)),
+            ("PIC.TWITTER.COM/Xy9 was shared.", (0, 19)),
+            ("Read twıtter.com/ann/status/1 first.", (5, 29)),  # dotless ı
+        ],
+    )
+    def test_embed_link_in_any_case(self, pattern_set, body, span):
+        # neither of these phrases has "twitter" for a group key, which would open the gate of could_cite
+        no_twitter_key = PatternSet(
+            [CitationPattern("fb-1", Platform.FACEBOOK, "posted on facebook"), CitationPattern("tw-1", Platform.TWITTER, "tweeted")]
+        )
+        assert find_embedding_span(body) == span
+        for ps in (pattern_set, no_twitter_key):
+            mention = SourceMention("t0", 0, Platform.TWITTER, Kind.EMBEDDING, None, *span)
+            assert extract_mentions(article(body), ps).mentions == (mention,)
 
     def test_short_quote_spans_filtered(self, pattern_set):
         body = 'He wrote "ab" on the wall and "a longer quote" too.'

@@ -1,13 +1,17 @@
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 
 from conftest import random_body
 
 from sourcescope.patterns import (
+    _ATTRIBUTION_RE,
     _PAIR_TABLE,
+    _PIC_LINK_RE,
+    _STATUS_LINK_RE,
     OPENING_QUOTE_CHARS,
     CitationPattern,
     PatternFileError,
@@ -212,6 +216,24 @@ def test_fold_case_is_exact_on_every_code_point():
     assert folds_onto_ascii == ["İ", "ı", "ſ", "\u212a"]
 
 
+def test_fold_case_keeps_every_other_ascii_character_and_whitespace_apart():
+    """An ASCII phrase's regex runs case-sensitively on fold_case(text) in place of re.IGNORECASE on text.
+
+    Beside the letters above, that needs each other ASCII character to stand
+    for itself alone: no non-ASCII character folds to it, and re.IGNORECASE
+    matches none to it. The \\s separators must also find the same
+    characters in both texts.
+    """
+    text = "".join(chr(cp) for cp in range(sys.maxunicode + 1) if not 0xD800 <= cp <= 0xDFFF)
+    folded = fold_case(text)
+    assert len(folded) == len(text) and text[:128].isascii() and not text[128].isascii()
+    non_letters = [chr(cp) for cp in range(128) if not chr(cp).isalpha()]
+    assert not set(folded[128:]) & set(non_letters)
+    for c in non_letters:
+        assert re.search(re.escape(c), text[128:], re.IGNORECASE) is None, c
+    assert [m.start() for m in re.finditer(r"\s", folded)] == [m.start() for m in re.finditer(r"\s", text)]
+
+
 class TestDetectEmbedding:
     def test_attribution_line(self):
         assert find_embedding_span("— Donald J. Trump (@realDonaldTrump) July 25, 2018") is not None
@@ -239,6 +261,44 @@ class TestDetectEmbedding:
 
     def test_plain_dash_attribution(self):
         assert find_embedding_span("- Jane Roe (@jroe) Sept 3, 2015") is not None
+
+    @pytest.mark.parametrize(
+        "sentence, rule",
+        [
+            ("Photo: pic.Twitter.com/abc123", "pic"),
+            ("See Twitter.com/ann/status/123 now.", "status"),
+            ("PIC.TWITTER.COM/Xy9 was shared.", "pic"),
+            ("Read twıtter.com/ann/status/1 first.", "status"),  # dotless ı
+        ],
+    )
+    def test_link_in_any_case(self, sentence, rule):
+        rx = {"pic": _PIC_LINK_RE, "status": _STATUS_LINK_RE}[rule]
+        assert find_embedding_span(sentence) == rx.search(sentence).span()
+
+    def test_prescreen_equals_the_rules_run_unscreened(self):
+        """On markers in random case and fold letters, the span is the first match of the three rules."""
+        rng = random.Random(31)
+        markers = (
+            "— Ann Lee (@annlee) May 4, 2016",
+            "pic.twitter.com/Ab12",
+            "twitter.com/ann/status/123",
+            "twitter.com/ann/statuses/9",
+            "twitter.com/ann",
+            "( @ann) May 4, 2016",
+        )
+        found = Counter()
+        for _ in range(4000):
+            marker = "".join(
+                {"i": rng.choice("İı"), "s": "ſ"}.get(c.lower(), c) if rng.random() < 0.1 else rng.choice((c, c.upper()))
+                for c in rng.choice(markers)
+            )
+            sentence = rng.choice(("", "Read ", "— ", "see:")) + marker + rng.choice(("", ".", " now."))
+            matches = (rx.search(sentence) for rx in (_ATTRIBUTION_RE, _PIC_LINK_RE, _STATUS_LINK_RE))
+            expected = next((m.span() for m in matches if m), None)
+            assert find_embedding_span(sentence) == expected, sentence
+            found["span" if expected else "none"] += 1
+            found["only when folded"] += bool(expected) and "(@" not in sentence and "twitter.com" not in sentence
+        assert found["none"] and found["only when folded"] > 1000, found
 
 
 class TestQuoteSigns:
