@@ -11,22 +11,3 @@ from sourcescope.patterns import (
 from sourcescope.extractor import ExtractionResult, Kind, SourceMention, extract_corpus, extract_mentions
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Article",
-    "CitationPattern",
-    "Corpus",
-    "ExtractionResult",
-    "Kind",
-    "MediaType",
-    "PatternSet",
-    "Platform",
-    "SourceMention",
-    "default_patterns",
-    "extract_corpus",
-    "extract_mentions",
-    "ingest",
-    "load_patterns",
-    "serialize",
-    "stratified_sample",
-]

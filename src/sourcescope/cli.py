@@ -27,10 +27,6 @@ EXIT_LABELER = 3
 TOKEN_ENV_VAR = "SOURCESCOPE_LABELER_TOKEN"
 
 
-def _load_patterns(path) -> PatternSet:
-    return load_patterns(path) if path else default_patterns()
-
-
 @contextmanager
 def _out_dir(path):
     """Make `path` if missing and yield a private staging directory inside it. The staged files move
@@ -81,23 +77,32 @@ def _workers(args: argparse.Namespace) -> int:
     return min(args.parallel, cpus)
 
 
-def _writing_sentences(pairs, fh):
-    """Pass the results through, writing each article's sentences.tsv rows on the way."""
-    for article, result in pairs:
-        for index, (start, end) in enumerate(result.sentences):
-            cell = article.body[start:end]
-            # a printable cell holds no tab and no line boundary, so escape_cell would return it as it is
-            fh.write(f"{article.id}\t{index}\t{cell if cell.isprintable() else escape_cell(cell)}\n")
-        yield result
+@contextmanager
+def _extraction(args: argparse.Namespace, chunk, *context):
+    """Yield (reader, pattern set, staging directory, outputs of chunk(articles, pattern set, *context) over the
+    accepted articles, from extractor.map_chunks); closing the outputs stops the work still pending."""
+    pattern_set = load_patterns(args.patterns) if args.patterns else default_patterns()
+    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader, _out_dir(args.out) as out:
+        articles = _articles(reader)
+        with closing(extractor.map_chunks(chunk, articles, (pattern_set, *context), _workers(args))) as outputs:
+            yield reader, pattern_set, out, outputs
+
+
+def _extract_rows(articles, pattern_set: PatternSet):
+    """The chunk function of extract: each article's result and its sentences.tsv rows, cut where the body is."""
+    for article in articles:
+        result = extractor.extract_mentions(article, pattern_set, sentences=True)
+        cells = (article.body[start:end] for start, end in result.sentences)
+        # a printable cell holds no tab and no line boundary, so escape_cell would return it as it is
+        rows = [f"{article.id}\t{i}\t{c if c.isprintable() else escape_cell(c)}\n" for i, c in enumerate(cells)]
+        yield result, "".join(rows)
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    pattern_set = _load_patterns(args.patterns)
-    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader, _out_dir(args.out) as out:
-        # closing the extraction stops it, cancelling the work still pending
-        with closing(extractor.iter_extract(_articles(reader), pattern_set, _workers(args), sentences=True)) as pairs:
-            with open(out / "sentences.tsv", "w", encoding="utf-8") as fh:
-                mention_count = extractor.write_mentions(_writing_sentences(pairs, fh), out / "mentions.jsonl")
+    with _extraction(args, _extract_rows) as (reader, pattern_set, out, outputs):
+        with open(out / "sentences.tsv", "w", encoding="utf-8") as fh:
+            results = (result for result, rows in outputs if fh.write(rows) >= 0)  # writes the rows on the way
+            mention_count = extractor.write_mentions(results, out / "mentions.jsonl")
     print(f"{reader.accepted} articles processed, {mention_count} mentions")
     print(f"pattern set version: {pattern_set.version}")
     return EXIT_OK
@@ -106,10 +111,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from sourcescope import evaluator
     gold = evaluator.load_gold(args.gold)
-    pattern_set = _load_patterns(args.patterns)
-    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader, _out_dir(args.out) as out:
-        with closing(extractor.iter_extract(_articles(reader), pattern_set, _workers(args))) as pairs:
-            predicted = [m for _, result in pairs for m in result.mentions]
+    with _extraction(args, extractor.extract_chunk) as (_, _, out, results):
+        predicted = [m for result in results for m in result.mentions]
         counts = evaluator.compare(predicted, gold)
         report = evaluator.metrics(counts)
         note = evaluator.f1_transposition_note(report)
@@ -125,17 +128,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from sourcescope import analytics
     labeler = _labeler(args)
-    pattern_set = _load_patterns(args.patterns)
-    with CorpusReader(args.corpus, fail_fast=args.fail_fast) as reader, _out_dir(args.out) as out:
-        # each chunk comes back as one accumulator; a labeler failure stops the run at once
-        with closing(extractor.map_chunks(
-            analytics.accumulate_chunk, _articles(reader), (pattern_set, labeler), _workers(args)
-        )) as accs:
-            try:
-                acc = reduce(analytics.StatsAccumulator.merge, accs, analytics.StatsAccumulator())
-            except analytics.LabelerError as exc:  # nothing is staged yet, so --out stays as it was
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_LABELER
+    # each chunk comes back as one accumulator; a labeler failure stops the run at once
+    with _extraction(args, analytics.accumulate_chunk, labeler) as (_, _, out, accs):
+        try:
+            acc = reduce(analytics.StatsAccumulator.merge, accs, analytics.StatsAccumulator())
+        except analytics.LabelerError as exc:  # nothing is staged yet, so --out stays as it was
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_LABELER
         media = analytics.media_report(acc)
         trend = analytics.trend_report(acc)
         ratio = analytics.ratio_report(acc)

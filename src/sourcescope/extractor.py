@@ -5,10 +5,9 @@ from __future__ import annotations
 import json
 import signal
 from collections import deque
-from contextlib import closing
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import islice, tee
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from sourcescope._fmt import write_lines
@@ -167,28 +166,14 @@ def map_chunks(function, articles: Iterable[Article], context: tuple = (), worke
         raise OSError(f"extraction worker died: {exc}") from None
 
 
-def _extract_chunk(articles, pattern_set: PatternSet, sentences: bool) -> Iterator[ExtractionResult]:
-    return (extract_mentions(article, pattern_set, sentences=sentences) for article in articles)
-
-
-def iter_extract(
-    articles: Iterable[Article], pattern_set: PatternSet, workers: int = 1, *, sentences: bool = False
-) -> Iterator[tuple[Article, ExtractionResult]]:
-    """Yield each article paired with its result, in input order regardless of parallelism.
-
-    Articles are read as map_chunks reads them, and wait in the tee's buffer
-    for their results, as workers return only results. Closing the generator
-    closes map_chunks.
-    """
-    source, drawn = tee(articles)
-    with closing(map_chunks(_extract_chunk, source, (pattern_set, sentences), workers)) as results:
-        for result, article in zip(results, drawn):  # results first: only map_chunks reads the stream
-            yield article, result
+def extract_chunk(articles, pattern_set: PatternSet) -> Iterator[ExtractionResult]:
+    """The map_chunks chunk function of evaluate and extract_corpus: each article's result, without sentence spans."""
+    return (extract_mentions(article, pattern_set) for article in articles)
 
 
 def extract_corpus(articles: Iterable[Article], pattern_set: PatternSet, workers: int = 1) -> list[ExtractionResult]:
     """One result per article, in input order regardless of parallelism."""
-    return [result for _, result in iter_extract(articles, pattern_set, workers)]
+    return list(map_chunks(extract_chunk, articles, (pattern_set,), workers))
 
 
 def mention_to_record(mention: SourceMention) -> dict:

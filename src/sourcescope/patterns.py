@@ -87,14 +87,14 @@ def _prescreen_words(phrase: str, anchored: str) -> tuple[str, frozenset[str]]:
 
 
 def _check_pattern(pat: CitationPattern, seen: set) -> None:
-    """Raise PatternFileError unless a PatternSet can hold pat beside the (platform, phrase) keys in seen; add pat's."""
+    """Add pat's (platform, folded phrase) key to seen; raise PatternFileError if a PatternSet cannot hold pat."""
     if not pat.phrase:
         raise PatternFileError("empty phrase")
     if pat.phrase != " ".join(pat.phrase.split()) or pat.phrase != pat.phrase.lower():
         raise PatternFileError(f"phrase {pat.phrase!r} is not normalized lowercase text")
     if pat.anchored not in ("both", "left"):
         raise PatternFileError(f"unknown anchored value {pat.anchored!r}")
-    key = (pat.platform, pat.phrase)
+    key = (pat.platform, fold_case(pat.phrase))  # 'ı' and 'i' match the same text
     if key in seen:
         raise PatternFileError(f"duplicate pattern ({pat.platform.value}, {pat.phrase!r})")
     seen.add(key)

@@ -42,7 +42,7 @@ from sourcescope.analytics import (
     write_trend_tsv,
 )
 from sourcescope.corpus import Article, MediaType
-from sourcescope.extractor import ExtractionResult, Kind, SourceMention, extract_corpus, iter_extract, map_chunks
+from sourcescope.extractor import ExtractionResult, Kind, SourceMention, extract_corpus, map_chunks
 from sourcescope.patterns import Platform, default_patterns
 
 M, U = MediaType.MAINSTREAM.value, MediaType.UNRELIABLE.value
@@ -138,7 +138,7 @@ class TestReductionInTheWorkers:
         corpus = self.labelable_corpus(n)
         chunks = map_chunks(accumulate_chunk, iter(corpus), (pattern_set, labeler), workers)
         merged = reduce(StatsAccumulator.merge, chunks, StatsAccumulator())
-        expected = accumulate(iter_extract(corpus, pattern_set), labeler)
+        expected = accumulate(zip(corpus, extract_corpus(corpus, pattern_set)), labeler)
         assert merged == expected
         assert sum(expected.article_count.values()) == n
         if n >= 127:  # the corpus exercises the labeler and the mention counts

@@ -4,7 +4,6 @@ import argparse
 import csv
 import errno
 import http.server
-import io
 import json
 import multiprocessing
 import os
@@ -300,11 +299,11 @@ class TestExtract:
             assert len(line.split("\t")) == 3
 
     def test_sentences_tsv_rows_equal_the_escape_every_cell_writer(self, tmp_path, pattern_set):
-        def escaping_every_cell(pairs, fh):  # the reference: escape_cell on every cell
-            for article, result in pairs:
-                for index, (start, end) in enumerate(result.sentences):
-                    fh.write(f"{article.id}\t{index}\t{escape_cell(article.body[start:end])}\n")
-                yield result
+        def escaping_every_cell(articles, pattern_set):  # the reference: escape_cell on every cell
+            for article in articles:
+                result = extractor.extract_mentions(article, pattern_set, sentences=True)
+                cells = (escape_cell(article.body[start:end]) for start, end in result.sentences)
+                yield result, "".join(f"{article.id}\t{index}\t{cell}\n" for index, cell in enumerate(cells))
 
         # a tab, every str.splitlines boundary, then spaces and a soft hyphen that are not line boundaries
         odd = ["\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
@@ -314,15 +313,14 @@ class TestExtract:
         write_jsonl(tmp_path / "corpus.jsonl", [dict(GOOD_RECORD, id=f"a{i}", body=b) for i, b in enumerate(bodies)])
         articles = ingest(tmp_path / "corpus.jsonl").articles
 
-        def rows(writer):
-            fh = io.StringIO()
-            pairs = extractor.iter_extract(articles, pattern_set, sentences=True)
-            assert len(list(writer(pairs, fh))) == len(articles)
-            return fh.getvalue()
+        def rows(chunk):
+            outputs = list(chunk(iter(articles), pattern_set))
+            assert len(outputs) == len(articles)
+            return "".join(rows for _, rows in outputs)
 
         expected = rows(escaping_every_cell)
         assert expected.count("\n") > len(articles)
-        assert rows(cli._writing_sentences) == expected
+        assert rows(cli._extract_rows) == expected
 
     def test_a_printable_cell_is_its_own_escape(self):
         # the premise of the writer's shortcut, over every code point but the surrogates
@@ -1108,3 +1106,47 @@ class TestUsage:
         assert "--top-k" in err
         assert calls["reader"] == 0
         assert not (tmp_path / "out").exists()
+
+
+# the function each extracting command writes its last output file with
+_LAST_WRITER = {
+    "extract": (extractor, "write_mentions"),
+    "evaluate": (evaluator, "write_report_csv"),
+    "analyze": (analytics, "write_summary_json"),
+}
+
+
+@pytest.mark.parametrize("failure", ["usage", "missing-corpus", "bad-line", "duplicate-id", "disk-full"])
+@pytest.mark.parametrize("parallel", ["1", "2"])
+@pytest.mark.parametrize("command", ["extract", "evaluate", "analyze"])
+def test_failed_run_is_one_error_line_and_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, command, parallel, failure):
+    corpus_path = tmp_path / "corpus.jsonl"
+    serialize(random_corpus(random.Random(12), 300), corpus_path)
+    lines = corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    if failure == "bad-line":  # past the first chunks, so that some are in flight
+        lines[200] = "{not json\n"
+    elif failure == "duplicate-id":
+        lines[200] = lines[10]
+    corpus_path.write_text("".join(lines), encoding="utf-8")
+    if failure == "missing-corpus":
+        corpus_path = tmp_path / "nope.jsonl"
+    if failure == "disk-full":
+        module, name = _LAST_WRITER[command]
+        original = getattr(module, name)
+
+        def disk_full(*args, **kwargs):
+            original(*args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device", str(args[-1]))
+
+        monkeypatch.setattr(module, name, disk_full)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("an earlier run's file\n", encoding="utf-8")
+    argv = [command, "--corpus", str(corpus_path), "--out", str(out), "--parallel", parallel, "--fail-fast"]
+    argv += {"evaluate": ["--gold", str(GOLDEN_GOLD)], "analyze": ["--labeler", "keyword"]}.get(command, [])
+    argv += ["--no-such-flag"] if failure == "usage" else []
+
+    code, _, err = run(argv, capsys)
+    assert code == (cli.EXIT_IO if failure in ("missing-corpus", "disk-full") else cli.EXIT_VALIDATION)
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == {"earlier.txt": b"an earlier run's file\n"}

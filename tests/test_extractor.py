@@ -16,9 +16,10 @@ from sourcescope.extractor import (
     Kind,
     SourceMention,
     classify_sentence,
+    extract_chunk,
     extract_corpus,
     extract_mentions,
-    iter_extract,
+    map_chunks,
     mention_to_record,
 )
 from sourcescope.patterns import (
@@ -57,10 +58,13 @@ _IGNORECASE_FOLDS = {"İ": "i", "ı": "i", "ſ": "s"}
 def naive_phrase_hits(sentence, pattern_set):
     # one character per character of the sentence ('İ' is the only one whose lower()
     # is longer), so offsets stay aligned; c matches phrase letter p iff folded c == p
-    folded = "".join(_IGNORECASE_FOLDS.get(c, c.lower()) for c in sentence)
+    def fold(text):
+        return "".join(_IGNORECASE_FOLDS.get(c, c.lower()) for c in text)
+
+    folded = fold(sentence)
     hits = []
     for pat in pattern_set.patterns:
-        phrase = pat.phrase
+        phrase = fold(pat.phrase)  # a phrase may hold 'ı' or 'ſ' too
         first_word = phrase.partition(" ")[0]
         start = folded.find(first_word)
         while start >= 0:
@@ -155,6 +159,14 @@ class TestPhraseOracle:
         hits = [(h.pattern_id, h.start, h.end) for h in match_patterns(sentence, pattern_set)]
         assert hits == expected
         assert [(pid, start, end) for pid, _, start, end in naive_phrase_hits(sentence, pattern_set)] == expected
+
+    def test_fold_characters_in_the_phrase(self):
+        ps = PatternSet([
+            CitationPattern("tw", Platform.TWITTER, "twıt storm"), CitationPattern("fb", Platform.FACEBOOK, "poſted on"),
+        ])
+        for sentence, expected in [("A Twit storm began.", [("tw", 2, 12)]), ("She POSTED ON it.", [("fb", 4, 13)])]:
+            assert [(h.pattern_id, h.start, h.end) for h in match_patterns(sentence, ps)] == expected
+            assert [(pid, start, end) for pid, _, start, end in naive_phrase_hits(sentence, ps)] == expected
 
     def test_matcher_equals_oracle_property(self, pattern_set):
         rng = random.Random(77)
@@ -462,8 +474,8 @@ class TestExtractCorpus:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class TestIterExtractIsLazy:
-    """iter_extract reads its articles only as the window needs them."""
+class TestMapChunksIsLazy:
+    """map_chunks reads its articles only as the window needs them."""
 
     @staticmethod
     def counting(articles, pulled):
@@ -474,7 +486,7 @@ class TestIterExtractIsLazy:
     def test_serial_reads_one_article_per_result(self, pattern_set):
         corpus = random_corpus(random.Random(8), 30)
         pulled, results = [], []
-        for _, result in iter_extract(self.counting(corpus, pulled), pattern_set):
+        for result in map_chunks(extract_chunk, self.counting(corpus, pulled), (pattern_set,)):
             results.append(result)
             assert len(pulled) == len(results)
         assert results == extract_corpus(corpus, pattern_set)
@@ -485,7 +497,7 @@ class TestIterExtractIsLazy:
         window = 3 * 2 * 2
         corpus = random_corpus(random.Random(9), 61)
         pulled, results, ahead = [], [], []
-        for _, result in iter_extract(self.counting(corpus, pulled), pattern_set, workers=2):
+        for result in map_chunks(extract_chunk, self.counting(corpus, pulled), (pattern_set,), workers=2):
             results.append(result)
             ahead.append(len(pulled) - len(results))
         assert max(ahead) < window
@@ -498,25 +510,15 @@ class TestIterExtractIsLazy:
         before = set(multiprocessing.active_children())
         corpus = random_corpus(random.Random(10), 200)
         pulled = []
-        pairs = iter_extract(self.counting(corpus, pulled), pattern_set, workers=2)
-        assert next(pairs) == (corpus.articles[0], extract_mentions(corpus.articles[0], pattern_set))
+        results = map_chunks(extract_chunk, self.counting(corpus, pulled), (pattern_set,), workers=2)
+        assert next(results) == extract_mentions(corpus.articles[0], pattern_set)
         workers = set(multiprocessing.active_children()) - before
         assert workers
-        pairs.close()
+        results.close()
         for worker in workers:
             worker.join(timeout=10)
         assert not [worker for worker in workers if worker.is_alive()]
         assert len(pulled) <= 3 * 2 * 2
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_iter_extract_pairs_each_article_with_its_own_result(pattern_set, monkeypatch, workers):
-    monkeypatch.setattr(extractor, "CHUNK_ARTICLES", 7)  # several chunks, the last one short
-    corpus = random_corpus(random.Random(11), 50)
-    pairs = list(iter_extract(iter(corpus), pattern_set, workers=workers))
-    assert [article for article, _ in pairs] == list(corpus.articles)
-    assert all(result.article_id == article.id for article, result in pairs)
-    assert [result for _, result in pairs] == [extract_mentions(a, pattern_set) for a in corpus]
 
 
 class TestProperties:

@@ -54,6 +54,19 @@ class TestLoadPatterns:
         with pytest.raises(PatternFileError, match="^line 2: duplicate"):
             load_patterns(path)
 
+    def test_fold_equal_duplicate_rejected(self, tmp_path):
+        # 'ı' and 'ſ' match what 'i' and 's' match, so each pair would hit the same text twice
+        for first, second in [("twit storm", "twıt storm"), ("she posted", "she poſted")]:
+            pats = [CitationPattern("a", Platform.TWITTER, first), CitationPattern("b", Platform.TWITTER, second)]
+            with pytest.raises(PatternFileError, match=f"^duplicate pattern \\(twitter, '{second}'\\)$"):
+                PatternSet([*pats, CitationPattern("c", Platform.FACEBOOK, "posted on facebook")])
+            path = write_tsv(tmp_path / "p.tsv", ["facebook\tposted on facebook", f"twitter\t{first}", f"twitter\t{second}"])
+            with pytest.raises(PatternFileError, match="^line 3: duplicate"):
+                load_patterns(path)
+        # the same phrase on the other platform is no duplicate
+        path = write_tsv(tmp_path / "p.tsv", ["facebook\ttwit storm", "twitter\ttwıt storm"])
+        assert len(load_patterns(path).patterns) == 2
+
     @pytest.mark.parametrize(
         "row, reason",
         [("twitter\t   ", "empty phrase"), ("twitter\tshe tweeted\tright", "unknown anchored value 'right'")],
