@@ -319,18 +319,35 @@ def _topic_keywords() -> dict:
 
 TOPIC_KEYWORDS = _topic_keywords()
 
-# A keyword hits where a maximal \w run equals it under re.IGNORECASE, which
-# is where a \w run of the case-folded text equals it.
-_KEYWORD_TOPIC = {kw: topic for topic, kws in TOPIC_KEYWORDS.items() for kw in kws}
+# A keyword hits where a maximal \w run equals it under re.IGNORECASE, which is where a \w run of
+# fold_case(text) equals it. _keyword_hits finds those runs in the UTF-8 bytes, without folding the text:
+# _WORD_BYTES maps each ASCII byte outside [0-9A-Za-z_] to a space and A-Z to a-z, and keeps the bytes >= 128,
+# the only bytes that spell a non-ASCII character. So a split token of ASCII bytes is a whole folded \w run.
+# A token with a non-ASCII character is folded and split by \w+ apart from the rest of the text, which folds
+# it as the whole text would: fold_case maps 'İ' before lower(), and lower()'s one context rule, the Greek
+# final sigma, gives a non-ASCII word character either way. The keywords are ASCII.
+_KEYWORD_TOPIC = {kw.encode(): topic for topic, kws in TOPIC_KEYWORDS.items() for kw in kws}
+_WORD_BYTES = bytes(b if b >= 128 or chr(b).isalnum() or b == 95 else 32 for b in range(256)).lower()
 _WORD_RE = re.compile(r"\w+")
 
 
+def _keyword_hits(text: str) -> set:
+    """The keywords, as bytes, that equal a maximal \\w run of fold_case(text): one translate and one split."""
+    tokens = set(text.encode("utf-8", "surrogatepass").translate(_WORD_BYTES).split())
+    if not text.isascii():  # the tokens with a non-ASCII character, folded and split in one pass, a space apart
+        wide = b" ".join([token for token in tokens if not token.isascii()]).decode("utf-8", "surrogatepass")
+        tokens.update(" ".join(_WORD_RE.findall(fold_case(wide))).encode("utf-8", "surrogatepass").split())
+    return tokens & _KEYWORD_TOPIC.keys()
+
+
 class KeywordTopicLabeler:
-    """Offline fallback: most distinct keyword hits wins, ties lexicographic."""
+    """Offline fallback: most distinct keyword hits wins, ties lexicographic.
+
+    The hits come from a byte scan of the text (_keyword_hits), exact against the \\w runs of fold_case(text).
+    """
 
     def label(self, text: str) -> Optional[str]:
-        hits = set(_WORD_RE.findall(fold_case(text))) & _KEYWORD_TOPIC.keys()
-        counts = Counter(_KEYWORD_TOPIC[kw] for kw in hits)
+        counts = Counter(_KEYWORD_TOPIC[kw] for kw in _keyword_hits(text))
         return max(sorted(counts), key=counts.__getitem__, default=None)
 
 

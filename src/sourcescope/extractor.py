@@ -15,11 +15,12 @@ from sourcescope.corpus import Article
 from sourcescope.patterns import (
     PatternSet,
     Platform,
+    _embedding_span,
+    _match_folded,
     contains_quote_signs,
     could_cite,
     extract_quote_spans,
-    find_embedding_span,
-    match_patterns,
+    fold_case,
 )
 from sourcescope.segmenter import segment
 
@@ -68,12 +69,14 @@ def classify_sentence(sentence: str, pattern_set: PatternSet) -> list[tuple]:
     The embedding test runs first and, when it fires, suppresses Twitter
     pattern hits for the sentence. Each remaining platform with a pattern
     hit is a Quotation when the sentence carries quote signs, else a
-    Paraphrase. Returns (platform, kind, (start, end), pattern_id) tuples.
+    Paraphrase. The sentence is case-folded once, for both tests. Returns
+    (platform, kind, (start, end), pattern_id) tuples.
     """
+    folded = fold_case(sentence)
     first_hit: dict[Platform, object] = {}
-    for hit in match_patterns(sentence, pattern_set):
+    for hit in _match_folded(sentence, folded, pattern_set):
         first_hit.setdefault(hit.platform, hit)
-    embedding_span = find_embedding_span(sentence)
+    embedding_span = _embedding_span(sentence, folded)
     emissions: list[tuple] = []
     quoted: Optional[bool] = None
     for platform in (Platform.FACEBOOK, Platform.TWITTER):  # emissions in platform order

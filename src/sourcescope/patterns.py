@@ -186,7 +186,11 @@ def match_patterns(sentence: str, pattern_set: PatternSet) -> list[PatternHit]:
     regex runs only when its group key occurs in the case-folded sentence
     and each of its required words is a whole word there.
     """
-    folded = fold_case(sentence)
+    return _match_folded(sentence, fold_case(sentence), pattern_set)
+
+
+def _match_folded(sentence: str, folded: str, pattern_set: PatternSet) -> list[PatternHit]:
+    """match_patterns(sentence, pattern_set), given folded = fold_case(sentence)."""
     hits: list[PatternHit] = []
     tokens: Optional[set[str]] = None
     for key, filed in pattern_set._groups.items():
@@ -220,7 +224,12 @@ _STATUS_LINK_RE = re.compile(r"twitter\.com/\w+/status(?:es)?/\d+", re.IGNORECAS
 
 def find_embedding_span(sentence: str) -> Optional[tuple[int, int]]:
     """Offsets of the first embedded-tweet residue in the sentence, if any."""
-    if "(@" not in sentence and "twitter.com" not in fold_case(sentence):  # the link rules ignore case
+    return _embedding_span(sentence, fold_case(sentence))
+
+
+def _embedding_span(sentence: str, folded: str) -> Optional[tuple[int, int]]:
+    """find_embedding_span(sentence), given folded = fold_case(sentence)."""
+    if "(@" not in sentence and "twitter.com" not in folded:  # the link rules ignore case
         return None
     for rx in (_ATTRIBUTION_RE, _PIC_LINK_RE, _STATUS_LINK_RE):
         m = rx.search(sentence)

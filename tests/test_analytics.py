@@ -43,7 +43,7 @@ from sourcescope.analytics import (
 )
 from sourcescope.corpus import Article, MediaType
 from sourcescope.extractor import ExtractionResult, Kind, SourceMention, extract_corpus, map_chunks
-from sourcescope.patterns import Platform, default_patterns
+from sourcescope.patterns import Platform, default_patterns, fold_case
 
 M, U = MediaType.MAINSTREAM.value, MediaType.UNRELIABLE.value
 Q, P, E = Kind.QUOTATION.value, Kind.PARAPHRASE.value, Kind.EMBEDDING.value
@@ -532,6 +532,102 @@ class TestKeywordLabeler:
     def test_label(self, text, topic):
         assert KeywordTopicLabeler().label(text) == topic
         assert oracle_label(text) == topic
+
+
+# The keyword labeler before the byte scan, verbatim but for its two steps split apart, as the reference:
+# the \w runs of the whole folded text.
+_WORD_KEYWORD_TOPIC = {kw: topic for topic, kws in TOPIC_KEYWORDS.items() for kw in kws}
+_WORD_RE = re.compile(r"\w+")
+
+
+class WordScanLabeler:
+    def hits(self, text):
+        return set(_WORD_RE.findall(fold_case(text))) & _WORD_KEYWORD_TOPIC.keys()
+
+    def verdict(self, hits):
+        counts = Counter(_WORD_KEYWORD_TOPIC[kw] for kw in hits)
+        return max(sorted(counts), key=counts.__getitem__, default=None)
+
+    def label(self, text):
+        return self.verdict(self.hits(text))
+
+
+def byte_scan_hits(text):
+    return {kw.decode() for kw in analytics._keyword_hits(text)}
+
+
+# ASCII with the marks that end a token; the letters that fold onto ASCII ones or that str.lower() treats
+# apart (the capital sigma's final form); CJK; curly quotes and dashes
+_FUZZ_CHARS = (
+    "abcXYZ09_ .,;:'\"-!?()\n\t" "\u0130\u0131\u017f\u212a\u00b5\u00e9" "\u03a3\u03c3\u03c2" "\u4e2d\u6587"
+    "\u201c\u201d\u2018\u2019\u2013\u2014"
+)
+
+
+def _keyword_forms(kw):
+    """kw in lower, upper and title case, and with each letter alone in its other case or a letter folding onto it."""
+    forms = {kw, kw.upper(), kw.title()}
+    for i, c in enumerate(kw):
+        forms.update(kw[:i] + variant + kw[i + 1:] for variant in c.upper() + _CASE_VARIANTS.get(c, ""))
+    return sorted(forms)
+
+
+_KEYWORD_FORMS = [form for kw in _ALL_KEYWORDS for form in _keyword_forms(kw)]
+# two pieces in five are keyword forms
+_FUZZ_PIECES = _KEYWORD_FORMS + list(_FUZZ_CHARS) * round(1.5 * len(_KEYWORD_FORMS) / len(_FUZZ_CHARS))
+
+
+def fuzz_keyword_text(rng):
+    """Up to 12 pieces, each a keyword form or one fuzz character."""
+    return "".join(rng.choices(_FUZZ_PIECES, k=rng.randint(0, 12)))
+
+
+class TestByteScanEqualsWordScan:
+    """The byte scan gives the word scan's hit set and verdict for every text."""
+
+    def test_every_keyword_is_one_folded_word(self):
+        # a token holding a byte >= 128 can then equal no keyword before it is folded
+        assert all(re.fullmatch("[a-z0-9_]+", kw) for kw in _ALL_KEYWORDS)
+
+    def test_every_code_point_before_between_and_after_keywords(self):
+        """Each case is c1 + keyword + c2 + keyword + c3: every code point but the surrogates stands once as
+        c1, before a keyword, once as c2, between two, and once as c3, after one. Cases are scanned 32 at
+        a time, one per line, and the 32 cases of a scan use each keyword once, so the scan's hit set
+        shows which keywords hit in which case."""
+        code_points = [*map(chr, range(0xD800)), *map(chr, range(0xE000, 0x110000))]
+        third = -(-len(code_points) // 3)
+        keywords = sorted(_ALL_KEYWORDS)
+        firsts, seconds = keywords[0::2], keywords[1::2]
+        rounds = -(-len(code_points) // len(firsts))
+        cases = list(map("".join, zip(
+            code_points, firsts * rounds, code_points[third:] + code_points, seconds * rounds,
+            code_points[2 * third:] + code_points,
+        )))
+        reference = WordScanLabeler()
+        for at in range(0, len(cases), len(firsts)):
+            text = "\n".join(cases[at:at + len(firsts)])
+            assert byte_scan_hits(text) == reference.hits(text), ascii(text)
+
+    def test_lone_surrogates(self):
+        labeler, reference = KeywordTopicLabeler(), WordScanLabeler()
+        for c in map(chr, range(0xD800, 0xE000)):
+            for text in (c + "film", "film" + c, "film" + c + "vote"):
+                assert byte_scan_hits(text) == reference.hits(text), ascii(text)
+                assert labeler.label(text) == reference.label(text), ascii(text)
+        assert labeler.label("\ud800film\udfff") == "Arts & Entertainment"
+
+    def test_seeded_fuzz_texts(self):
+        rng = random.Random(22)
+        labeler, reference = KeywordTopicLabeler(), WordScanLabeler()
+        labels = Counter()
+        for _ in range(50_000):
+            text = fuzz_keyword_text(rng)
+            hits = reference.hits(text)
+            assert byte_scan_hits(text) == hits, ascii(text)
+            label = labeler.label(text)
+            assert label == reference.verdict(hits), ascii(text)
+            labels[label] += 1
+        assert set(labels) == {*TOPIC_KEYWORDS, None}
 
 
 def random_report_accumulator(rng):

@@ -407,13 +407,14 @@ class TestExtract:
         code, err, workers, out = _interrupted_run(
             tmp_path, ["extract", "--parallel", "2"], 2, lambda proc, workers: os.kill(workers[0], signal.SIGKILL)
         )
+        why = f"code {code}, stderr {err!r}"
         if code == cli.EXIT_OK:  # finished before a worker could be killed
-            assert sorted(path.name for path in out.iterdir()) == ["mentions.jsonl", "sentences.tsv"]
+            assert sorted(path.name for path in out.iterdir()) == ["mentions.jsonl", "sentences.tsv"], why
             return
-        assert code == cli.EXIT_IO
-        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
-        assert sorted(path.name for path in out.iterdir()) == []
-        assert workers and not [pid for pid in workers if _alive(pid)]
+        assert code == cli.EXIT_IO, why
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), why
+        assert sorted(path.name for path in out.iterdir()) == [], why
+        assert workers and not [pid for pid in workers if _alive(pid)], why
 
     @pytest.mark.parametrize(
         "parallel, cpus, expected", [("100000", 1, 1), ("3", 2, 2), ("2", 2, 2), ("1", 2, 1)]

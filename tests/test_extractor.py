@@ -252,6 +252,45 @@ class TestClassifySentence:
             (Platform.TWITTER, Kind.PARAPHRASE),
         ]
 
+    def test_sentence_is_folded_once(self, pattern_set, monkeypatch):
+        folded = []
+        monkeypatch.setattr(extractor, "fold_case", lambda text: folded.append(text) or fold_case(text))
+        s = "He posted on Facebook: pic.twitter.com/AbC — Jo (@jo) May 4, 2016"
+        out = classify_sentence(s, pattern_set)
+        assert folded == [s]
+        fb = next(hit for hit in match_patterns(s, pattern_set) if hit.platform is Platform.FACEBOOK)
+        assert out == [
+            (Platform.FACEBOOK, Kind.PARAPHRASE, (fb.start, fb.end), fb.pattern_id),
+            (Platform.TWITTER, Kind.EMBEDDING, find_embedding_span(s), None),
+        ]
+
+
+# words whose folding depends on their neighbours (the Greek final sigma) or that fold onto ASCII letters
+_FOLD_WORDS = ("ΟΔΥΣΣΕΥΣ.", "ΑΣ", "Σ", "İSTANBUL", "ſt.", "\u212aids", "O'ΣA.", "“ΛΣ”", "ΑΣ'")
+
+
+def fold_fuzz_body(rng):
+    words = random_body(rng).split(" ")
+    for _ in range(rng.randint(0, 6)):
+        words.insert(rng.randint(0, len(words)), rng.choice(_FOLD_WORDS))
+    return "".join(word + rng.choice((" ", " ", "  ", "\n", "\n\n", "\t")) for word in words)
+
+
+def test_sentence_fold_is_its_slice_of_the_body_fold():
+    """fold_case(body)[span] == fold_case(sentence) for every sentence span: a sentence starts and ends next to
+    whitespace or an end of the body, which bounds str.lower()'s one context rule, the Greek final sigma."""
+    rng = random.Random(4040)
+    finals = 0
+    for _ in range(3000):
+        body = fold_fuzz_body(rng)
+        folded = fold_case(body)
+        assert len(folded) == len(body)
+        for span in segment(body):
+            sentence = fold_case(body[span.start:span.end])
+            assert folded[span.start:span.end] == sentence, (body, span)
+            finals += "ς" in sentence
+    assert finals > 100
+
 
 class TestExtractMentions:
     def test_empty_body(self, pattern_set):
