@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import shutil
 import signal
 import sys
 import tempfile
@@ -33,13 +32,11 @@ def _out_dir(path):
     into `path` together when the block completes; the directory goes in any case, with what is left."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".", suffix=".tmp", dir=out))
-    try:
-        yield staging
-        for staged in staging.iterdir():
+    # an error in removing the directory must not replace the run's own
+    with tempfile.TemporaryDirectory(prefix=".", suffix=".tmp", dir=out, ignore_cleanup_errors=True) as staging:
+        yield Path(staging)
+        for staged in Path(staging).iterdir():
             os.replace(staged, out / staged.name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)  # an error here must not replace the run's own
 
 
 def _labeler(args: argparse.Namespace):
@@ -112,8 +109,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from sourcescope import evaluator
     gold = evaluator.load_gold(args.gold)
     with _extraction(args, extractor.extract_chunk) as (_, _, out, results):
-        predicted = [m for result in results for m in result.mentions]
-        counts = evaluator.compare(predicted, gold)
+        counts = evaluator.compare((m for result in results for m in result.mentions), gold)
         report = evaluator.metrics(counts)
         note = evaluator.f1_transposition_note(report)
         evaluator.write_report_csv(report, out / "evaluation.csv", note=note)

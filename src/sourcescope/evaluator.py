@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from sourcescope._fmt import fmt2, pct, write_lines
 from sourcescope.extractor import KIND_ORDER, Kind, SourceMention
@@ -88,7 +88,7 @@ def _keyed(items, label: str) -> dict:
     return keyed
 
 
-def compare(predicted: Sequence[SourceMention], gold: Sequence[GoldAnnotation]) -> ConfusionCounts:
+def compare(predicted: Iterable[SourceMention], gold: Iterable[GoldAnnotation]) -> ConfusionCounts:
     """A prediction is a TP iff gold holds the same (article, sentence, platform, kind).
 
     Unmatched predictions are FPs of their predicted kind; unmatched golds

@@ -584,6 +584,26 @@ class TestEvaluate:
         assert text.splitlines()[-1] == "note: cells transposed"
         assert (out / "evaluation.csv").read_text(encoding="utf-8").splitlines()[-1] == "# note: cells transposed"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_predictions_reach_compare_as_a_stream(self, tmp_path, capsys, monkeypatch, workers):
+        def evaluate(out):
+            argv = ["evaluate", "--corpus", str(GOLDEN_CORPUS), "--gold", str(GOLDEN_GOLD), "--out", str(out)]
+            code, text, _ = run([*argv, "--parallel", str(workers)], capsys)
+            assert code == cli.EXIT_OK
+            return text, (out / "evaluation.csv").read_bytes()
+
+        expected = evaluate(tmp_path / "unwrapped")
+        original = evaluator.compare
+        streamed = []
+
+        def compare(predicted, gold):
+            streamed.append(iter(predicted) is predicted)  # a one-shot iterator, not a list of every mention
+            return original(predicted, gold)
+
+        monkeypatch.setattr(evaluator, "compare", compare)
+        assert evaluate(tmp_path / "streamed") == expected
+        assert streamed == [True]
+
 
 class TestAnalyze:
     def test_printed_share_rounds_as_the_files_do(self, tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 Every case runs one command through `cli.main` in a fresh interpreter (`-S`,
 so that no site hook loads modules of its own) and lists `sys.modules` after
-it returns.
+it returns; the last imports the package root alone, which loads none of them.
 """
 
 import json
@@ -72,3 +72,14 @@ def test_parallel_run_loads_the_process_pool(tmp_path):
     # the check above sees a lazily loaded module once a command runs the code that loads it
     modules = loaded_modules([*COMMANDS["extract"], "--parallel", "2"], tmp_path)
     assert "concurrent.futures.process" in modules
+
+
+def test_package_root_loads_no_module_of_its_own(tmp_path):
+    # the library's names import from their own modules; the package root binds only __version__
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import json, sys; sys.path.insert(0, sys.argv[1]); import sourcescope; "
+         "print(json.dumps(sorted(sys.modules)))", str(SRC)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _loaded_of(set(json.loads(proc.stdout)), ("sourcescope",)) == ["sourcescope"]
