@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -15,7 +14,7 @@ from typing import Iterable, Optional, Protocol
 from sourcescope._fmt import fmt2, pct, round2, write_lines
 from sourcescope.corpus import Article, MediaType
 from sourcescope.extractor import KIND_ORDER, ExtractionResult, extract_mentions
-from sourcescope.patterns import PatternSet, Platform, fold_case
+from sourcescope.patterns import PatternSet, Platform, _word_set
 
 # accumulator keys are plain value tuples: (media_type, year, topic-or-None),
 # extended by (platform, kind) in mentions and by (platform,) in
@@ -319,25 +318,12 @@ def _topic_keywords() -> dict:
 
 TOPIC_KEYWORDS = _topic_keywords()
 
-# A keyword hits where a maximal \w run equals it under re.IGNORECASE, which is where a \w run of
-# fold_case(text) equals it. _keyword_hits finds those runs in the UTF-8 bytes, without folding the text:
-# _WORD_BYTES maps each ASCII byte outside [0-9A-Za-z_] to a space and A-Z to a-z, and keeps the bytes >= 128,
-# the only bytes that spell a non-ASCII character. So a split token of ASCII bytes is a whole folded \w run.
-# A token with a non-ASCII character is folded and split by \w+ apart from the rest of the text, which folds
-# it as the whole text would: fold_case maps 'İ' before lower(), and lower()'s one context rule, the Greek
-# final sigma, gives a non-ASCII word character either way. The keywords are ASCII.
 _KEYWORD_TOPIC = {kw.encode(): topic for topic, kws in TOPIC_KEYWORDS.items() for kw in kws}
-_WORD_BYTES = bytes(b if b >= 128 or chr(b).isalnum() or b == 95 else 32 for b in range(256)).lower()
-_WORD_RE = re.compile(r"\w+")
 
 
 def _keyword_hits(text: str) -> set:
-    """The keywords, as bytes, that equal a maximal \\w run of fold_case(text): one translate and one split."""
-    tokens = set(text.encode("utf-8", "surrogatepass").translate(_WORD_BYTES).split())
-    if not text.isascii():  # the tokens with a non-ASCII character, folded and split in one pass, a space apart
-        wide = b" ".join([token for token in tokens if not token.isascii()]).decode("utf-8", "surrogatepass")
-        tokens.update(" ".join(_WORD_RE.findall(fold_case(wide))).encode("utf-8", "surrogatepass").split())
-    return tokens & _KEYWORD_TOPIC.keys()
+    """The keywords, as bytes, that equal a maximal \\w run of fold_case(text): where re.IGNORECASE matches them."""
+    return _word_set(text) & _KEYWORD_TOPIC.keys()
 
 
 class KeywordTopicLabeler:

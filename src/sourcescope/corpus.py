@@ -35,6 +35,9 @@ class IngestError(ValueError):
         self.line_number = line_number
         self.reason = reason
 
+    def __reduce__(self):  # pickled as its arguments, as args holds only the message
+        return IngestError, (self.line_number, self.reason)
+
 
 @dataclass(frozen=True)
 class Article:

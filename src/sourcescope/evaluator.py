@@ -43,7 +43,8 @@ class EvalReport:
     micro: MetricRow
 
 
-def _gold_annotation(obj) -> GoldAnnotation:
+def _gold_row(obj) -> tuple:
+    """The ((article, sentence, platform), kind) of one gold object."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
     missing = [key for key in ("article_id", "sentence_index", "platform", "kind") if key not in obj]
@@ -54,58 +55,67 @@ def _gold_annotation(obj) -> GoldAnnotation:
         raise ValueError(f"article_id must be a string, not {article_id!r}")
     if not isinstance(index, int) or isinstance(index, bool) or index < 0:
         raise ValueError(f"sentence_index must be a non-negative integer, not {index!r}")
-    return GoldAnnotation(article_id, index, Platform(obj["platform"]), Kind(obj["kind"]))
+    return (article_id, index, Platform(obj["platform"])), Kind(obj["kind"])
 
 
-def load_gold(path) -> list[GoldAnnotation]:
-    """Read gold annotations, one JSON object per line; a bad line raises ValueError with its number."""
-    annotations: dict = {}  # (article, sentence, platform) -> GoldAnnotation
+def _gold_map(path) -> dict:
+    """load_gold(path) as the {(article, sentence, platform): kind} map, in file order."""
+    annotations: dict = {}
     with open(path, "rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                gold = _gold_annotation(json.loads(line))
-                key = (gold.article_id, gold.sentence_index, gold.platform)
+                key, kind = _gold_row(json.loads(line))
                 if key in annotations:
                     raise ValueError(f"duplicate key {key[0]!r}, {key[1]}, {key[2].value}")
-                annotations[key] = gold
+                annotations[key] = kind
             except UnicodeDecodeError as exc:
                 raise ValueError(f"gold line {line_number}: invalid UTF-8 at byte offset {exc.start}") from None
             except (ValueError, RecursionError) as exc:
                 raise ValueError(f"gold line {line_number}: {exc}") from None
-    return list(annotations.values())
+    return annotations
 
 
-def _keyed(items, label: str) -> dict:
-    keyed: dict = {}
-    for item in items:
-        key = (item.article_id, item.sentence_index, item.platform)
-        if key in keyed:
-            raise ValueError(f"duplicate {label} key {key}")
-        keyed[key] = item.kind
-    return keyed
+def load_gold(path) -> list[GoldAnnotation]:
+    """Read gold annotations, one JSON object per line; a bad line raises ValueError with its number."""
+    return [GoldAnnotation(*key, kind) for key, kind in _gold_map(path).items()]
 
 
-def compare(predicted: Iterable[SourceMention], gold: Iterable[GoldAnnotation]) -> ConfusionCounts:
+def compare(predicted: Iterable[SourceMention], gold) -> ConfusionCounts:
     """A prediction is a TP iff gold holds the same (article, sentence, platform, kind).
 
     Unmatched predictions are FPs of their predicted kind; unmatched golds
-    are FNs of their gold kind.
+    are FNs of their gold kind. The predictions are counted as they come;
+    a key that occurs twice on either side raises ValueError. gold is
+    GoldAnnotations or, from evaluate, a map that _gold_map read, which
+    compare uses up: it marks each key a prediction takes.
     """
-    pred_map = _keyed(predicted, "prediction")
-    gold_map = _keyed(gold, "gold")
+    gold_map = gold if isinstance(gold, dict) else _keyed(gold)
     counts = ConfusionCounts()
-    for key, kind in pred_map.items():
-        if gold_map.get(key) == kind:
-            counts.tp[kind] += 1
-        else:
-            counts.fp[kind] += 1
-    for key, kind in gold_map.items():
-        if pred_map.get(key) != kind:
-            counts.fn[kind] += 1
+    for mention in predicted:
+        key, kind = (mention.article_id, mention.sentence_index, mention.platform), mention.kind
+        gold_kind = gold_map.get(key, False)  # None once a prediction has taken the key
+        if gold_kind is None:
+            raise ValueError(f"duplicate prediction key {key}")
+        gold_map[key] = None
+        (counts.tp if gold_kind == kind else counts.fp)[kind] += 1
+        if gold_kind and gold_kind != kind:
+            counts.fn[gold_kind] += 1
+    for gold_kind in filter(None, gold_map.values()):  # the golds that no prediction took
+        counts.fn[gold_kind] += 1
     return counts
+
+
+def _keyed(golds) -> dict:
+    keyed: dict = {}
+    for gold in golds:
+        key = (gold.article_id, gold.sentence_index, gold.platform)
+        if key in keyed:
+            raise ValueError(f"duplicate gold key {key}")
+        keyed[key] = gold.kind
+    return keyed
 
 
 def _f1(precision: float, recall: float) -> float:

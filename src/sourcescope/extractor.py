@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import signal
+import sys
 from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -15,10 +16,10 @@ from sourcescope.corpus import Article
 from sourcescope.patterns import (
     PatternSet,
     Platform,
+    _candidates,
+    _could_cite_folded,
     _embedding_span,
-    _match_folded,
     contains_quote_signs,
-    could_cite,
     extract_quote_spans,
     fold_case,
 )
@@ -73,9 +74,11 @@ def classify_sentence(sentence: str, pattern_set: PatternSet) -> list[tuple]:
     (platform, kind, (start, end), pattern_id) tuples.
     """
     folded = fold_case(sentence)
-    first_hit: dict[Platform, object] = {}
-    for hit in _match_folded(sentence, folded, pattern_set):
-        first_hit.setdefault(hit.platform, hit)
+    first_hit: dict = {}  # platform -> the least (start, end, pattern_id), as a regex's leftmost match is its least
+    for pat, rx, text in _candidates(sentence, folded, pattern_set):
+        m = rx.search(text)
+        if m and (hit := (*m.span(), pat.id)) < first_hit.setdefault(pat.platform, hit):  # the first hit sets it
+            first_hit[pat.platform] = hit
     embedding_span = _embedding_span(sentence, folded)
     emissions: list[tuple] = []
     quoted: Optional[bool] = None
@@ -87,35 +90,29 @@ def classify_sentence(sentence: str, pattern_set: PatternSet) -> list[tuple]:
             if quoted is None:
                 quoted = contains_quote_signs(sentence)
             kind = Kind.QUOTATION if quoted else Kind.PARAPHRASE
-            emissions.append((platform, kind, (hit.start, hit.end), hit.pattern_id))
+            emissions.append((platform, kind, hit[:2], hit[2]))
     return emissions
 
 
 def extract_mentions(article: Article, pattern_set: PatternSet, *, sentences: bool = False) -> ExtractionResult:
-    """Quote-scan the body once and classify each sentence of a body that could cite. The body is segmented
-    once, and only if it could cite or `sentences` asks for its sentence spans; without that, `sentences` is ()."""
+    """Quote-scan and case-fold the body once; segment it if it could cite or `sentences` asks for its sentence
+    spans (else `sentences` is ()), and classify each sentence that could cite. The gate reads a sentence's fold as
+    a slice of the body's: fold_case maps one character to one, and final sigma's context stops at the whitespace
+    around a span."""
     quotes = extract_quote_spans(article.body)
-    cites = could_cite(article.body, pattern_set)
+    folded = fold_case(article.body)
+    cites = _could_cite_folded(article.body, folded, pattern_set)
     spans = segment(article.body, quotes) if cites or sentences else ()
     mentions: list[SourceMention] = []
-    for span in spans if cites else ():
-        sentence = article.body[span.start:span.end]
-        for platform, kind, (start, end), pattern_id in classify_sentence(sentence, pattern_set):
-            mentions.append(
-                SourceMention(
-                    article_id=article.id,
-                    sentence_index=span.index,
-                    platform=platform,
-                    kind=kind,
-                    pattern_id=pattern_id,
-                    span_start=start,
-                    span_end=end,
-                )
-            )
+    for index, start, end in spans if cites else ():
+        sentence = article.body[start:end]
+        if _could_cite_folded(sentence, folded[start:end], pattern_set):  # no key or marker, no mention
+            for platform, kind, span, pattern_id in classify_sentence(sentence, pattern_set):
+                mentions.append(SourceMention(article.id, index, platform, kind, pattern_id, *span))
     return ExtractionResult(
         article_id=article.id,
         mentions=tuple(mentions),
-        sentences=tuple((span.start, span.end) for span in spans) if sentences else (),
+        sentences=tuple((start, end) for _, start, end in spans) if sentences else (),
         direct_quote_count=sum(1 for q in quotes if q.end - q.start >= MIN_QUOTE_CHARS),
     )
 
@@ -150,10 +147,13 @@ def map_chunks(function, articles: Iterable[Article], context: tuple = (), worke
         yield from function(articles, *context)
         return
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing import get_context
     source = iter(articles)
     chunks = iter(lambda: list(islice(source, CHUNK_ARTICLES)), [])
+    # fork on Linux, its default until Python 3.14 chose forkserver: the workers stay the CLI's own children
+    mp_context = get_context("fork" if sys.platform == "linux" else None)
     try:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(function, context)) as pool:
+        with ProcessPoolExecutor(workers, mp_context, _init_worker, (function, context)) as pool:
             pending: deque = deque()  # of futures of the chunks' output lists
             try:
                 for chunk in chunks:

@@ -57,6 +57,8 @@ def _compile_phrase(phrase: str, anchored: str) -> re.Pattern:
 _PLATFORM_WORDS = ("facebook", "twitter", "tweet")
 _REQUIRED_WORD_RE = re.compile("[a-z0-9_]+")
 _WORD_RE = re.compile(r"\w+")
+# ASCII bytes outside [0-9A-Za-z_] to spaces, A-Z to a-z; bytes >= 128, which alone spell non-ASCII characters, stay
+_WORD_BYTES = bytes(b if b >= 128 or chr(b).isalnum() or b == 95 else 32 for b in range(256)).lower()
 
 
 def fold_case(text: str) -> str:
@@ -69,8 +71,8 @@ def fold_case(text: str) -> str:
     return text.replace("İ", "i").replace("ı", "i").replace("ſ", "s").lower()
 
 
-def _prescreen_words(phrase: str, anchored: str) -> tuple[str, frozenset[str]]:
-    """The phrase's group key and the words of fold_case(sentence) that a hit needs as whole \\w runs.
+def _prescreen_words(phrase: str, anchored: str) -> tuple[str, frozenset[bytes]]:
+    """The phrase's group key and the words, as bytes, of fold_case(sentence) that a hit needs as whole \\w runs.
 
     Those are its [a-z0-9_]+ words: the \\s+ separators and the boundary
     tests keep each a whole run, but for the last word of a left-anchored
@@ -83,7 +85,7 @@ def _prescreen_words(phrase: str, anchored: str) -> tuple[str, frozenset[str]]:
     if key is None:
         key = max((w for w in words if w.isascii()), key=len, default="")
     required = words if anchored == "both" else words[:-1]
-    return key, frozenset(w for w in required if _REQUIRED_WORD_RE.fullmatch(w))
+    return key, frozenset(w.encode() for w in required if _REQUIRED_WORD_RE.fullmatch(w))
 
 
 def _check_pattern(pat: CitationPattern, seen: set) -> None:
@@ -116,11 +118,11 @@ class PatternSet:
 
         self.patterns = pats
         self.version = version
-        # group key -> filing word (longest required word but the key, else "") -> [(pattern, words, regex, on folded)]
-        self._groups: dict[str, dict[str, list]] = {}
+        # group key -> filing word (longest required word but the key, else b"") -> [(pattern, words, regex, on folded)]
+        self._groups: dict[str, dict[bytes, list]] = {}
         for pat in pats:
             key, words = _prescreen_words(pat.phrase, pat.anchored)
-            filed = max(words, key=lambda w: (w != key, len(w), w), default="")
+            filed = max(words, key=lambda w: (w != key.encode(), len(w), w), default=b"")
             entry = (pat, words, _compile_phrase(pat.phrase, pat.anchored), pat.phrase.isascii())
             self._groups.setdefault(key, {}).setdefault(filed, []).append(entry)
 
@@ -186,25 +188,36 @@ def match_patterns(sentence: str, pattern_set: PatternSet) -> list[PatternHit]:
     regex runs only when its group key occurs in the case-folded sentence
     and each of its required words is a whole word there.
     """
-    return _match_folded(sentence, fold_case(sentence), pattern_set)
-
-
-def _match_folded(sentence: str, folded: str, pattern_set: PatternSet) -> list[PatternHit]:
-    """match_patterns(sentence, pattern_set), given folded = fold_case(sentence)."""
-    hits: list[PatternHit] = []
-    tokens: Optional[set[str]] = None
-    for key, filed in pattern_set._groups.items():
-        if key not in folded:
-            continue
-        if tokens is None:
-            tokens = {"", *_WORD_RE.findall(folded)}
-        for word in filed.keys() & tokens:
-            for pat, words, rx, on_folded in filed[word]:
-                if words <= tokens:
-                    for m in rx.finditer(folded if on_folded else sentence):
-                        hits.append(PatternHit(pat.id, pat.platform, m.start(), m.end()))
+    candidates = _candidates(sentence, fold_case(sentence), pattern_set)
+    hits = [PatternHit(pat.id, pat.platform, *m.span()) for pat, rx, text in candidates for m in rx.finditer(text)]
     hits.sort(key=lambda h: (h.start, h.end, h.pattern_id))
     return hits
+
+
+def _word_set(text: str) -> set:
+    """The maximal \\w runs of fold_case(text), as UTF-8 bytes, and b"": from one translate and one split of its bytes.
+
+    So a token of ASCII bytes is a whole folded \\w run. The tokens with a non-ASCII character are folded and split
+    by \\w+ apart from the rest of the text, which folds them as the whole text would: fold_case maps 'İ' before
+    lower(), and lower()'s one context rule, the Greek final sigma, gives a non-ASCII word character either way.
+    """
+    tokens = {b"", *text.encode("utf-8", "surrogatepass").translate(_WORD_BYTES).split()}
+    if not text.isascii():  # the tokens with a non-ASCII character, folded and split in one pass, a space apart
+        wide = b" ".join([token for token in tokens if not token.isascii()]).decode("utf-8", "surrogatepass")
+        tokens.update(" ".join(_WORD_RE.findall(fold_case(wide))).encode("utf-8", "surrogatepass").split())
+    return tokens
+
+
+def _candidates(sentence: str, folded: str, pattern_set: PatternSet):
+    """(pattern, regex, text to run it on) of each phrase passing the prescreen; folded is fold_case(sentence)."""
+    tokens: Optional[set] = None
+    for key, filed in pattern_set._groups.items():
+        if key in folded:
+            tokens = _word_set(sentence) if tokens is None else tokens
+            for word in filed.keys() & tokens:
+                for pat, words, rx, on_folded in filed[word]:
+                    if words <= tokens:
+                        yield pat, rx, folded if on_folded else sentence
 
 
 # --- embedded-tweet residue rules ---
@@ -245,10 +258,12 @@ def could_cite(text: str, pattern_set: PatternSet) -> bool:
     also found in the case-folded text holding it: each is ASCII, and
     fold_case maps every character that folds to ASCII on its own.
     """
-    if "(@" in text:
-        return True
-    folded = fold_case(text)
-    return any(key in folded for key in (*pattern_set._groups, "twitter.com"))
+    return _could_cite_folded(text, fold_case(text), pattern_set)
+
+
+def _could_cite_folded(text: str, folded: str, pattern_set: PatternSet) -> bool:
+    """could_cite(text, pattern_set), given folded = fold_case(text)."""
+    return "(@" in text or "twitter.com" in folded or any(key in folded for key in pattern_set._groups)
 
 
 # --- quote-mark table and scanning ---

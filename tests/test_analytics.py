@@ -41,7 +41,7 @@ from sourcescope.analytics import (
     trend_report,
     write_trend_tsv,
 )
-from sourcescope.corpus import Article, MediaType
+from sourcescope.corpus import Article, IngestError, MediaType
 from sourcescope.extractor import ExtractionResult, Kind, SourceMention, extract_corpus, map_chunks
 from sourcescope.patterns import Platform, default_patterns, fold_case
 
@@ -449,6 +449,13 @@ class TestLabelers:
             copy = pickle.loads(pickle.dumps(error))
             assert str(copy) == str(error) == f"remote labeler failed ({after})"
             assert copy.attempts == attempts
+
+    def test_ingest_error_survives_pickling(self):
+        # a corpus error raised in a pool worker reaches the parent as itself, as LabelerError does
+        error = IngestError(3, "bad")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is IngestError and isinstance(copy, ValueError)
+        assert (str(copy), copy.line_number, copy.reason) == (str(error), 3, "bad") == ("line 3: bad", 3, "bad")
 
 
 # one regex search per keyword, the direct reading of the labeling rule: the oracle

@@ -78,18 +78,20 @@ def _kill_quietly(pid) -> None:
         pass
 
 
-def _interrupted_run(tmp_path, argv, workers, interrupt):
-    """Run the CLI on a 20,000-article corpus, in a process group of its own as a shell runs a job, and
-    call interrupt(proc, children) once it has `workers` live children and is staging its files.
+def _interrupted_run(tmp_path, argv, workers, interrupt, corpus_path=None, launcher=("-m", "sourcescope.cli")):
+    """Run the CLI on a 20,000-article corpus (written here unless corpus_path is given), in a process
+    group of its own as a shell runs a job, and call interrupt(proc, children) once it has `workers`
+    live children and is staging its files. `launcher` is the interpreter's arguments before argv.
 
     Returns (its exit status, its stderr, the children it had, its --out).
     """
-    corpus_path = tmp_path / "corpus.jsonl"
-    serialize(random_corpus(random.Random(6), 20000), corpus_path)
+    if corpus_path is None:
+        corpus_path = tmp_path / "corpus.jsonl"
+        serialize(random_corpus(random.Random(6), 20000), corpus_path)
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "sourcescope.cli", *argv, "--corpus", str(corpus_path), "--out", str(out)],
+        [sys.executable, *launcher, *argv, "--corpus", str(corpus_path), "--out", str(out)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     children: list = []
@@ -1171,3 +1173,73 @@ def test_failed_run_is_one_error_line_and_leaves_out_as_it_was(tmp_path, capsys,
     assert code == (cli.EXIT_IO if failure in ("missing-corpus", "disk-full") else cli.EXIT_VALIDATION)
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err, err
     assert {path.name: path.read_bytes() for path in out.iterdir()} == {"earlier.txt": b"an earlier run's file\n"}
+
+
+@pytest.fixture(scope="module")
+def big_corpus(tmp_path_factory):
+    """The 20,000-article corpus of _interrupted_run, written once for the module."""
+    path = tmp_path_factory.mktemp("big") / "corpus.jsonl"
+    serialize(random_corpus(random.Random(6), 20000), path)
+    return path
+
+
+def _send_sigterm(proc, children):
+    proc.send_signal(signal.SIGTERM)
+
+
+def _press_ctrl_c(proc, children):
+    time.sleep(0.2)  # mid-run, with each worker at work
+    os.killpg(proc.pid, signal.SIGINT)  # the terminal sends it to the whole foreground group
+
+
+def _kill_a_worker(proc, children):
+    os.kill(children[0], signal.SIGKILL)
+
+
+_INTERRUPTS = {  # failure -> (interrupt, exit status, stderr is one error line)
+    "sigterm": (_send_sigterm, -signal.SIGTERM, False),
+    "sigint": (_press_ctrl_c, -signal.SIGINT, False),
+    "dead-worker": (_kill_a_worker, cli.EXIT_IO, True),
+}
+_USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+_FORKSERVER = ("-c", "import multiprocessing; multiprocessing.set_start_method('forkserver'); "
+                     "from sourcescope import cli; cli.entry()")  # Python 3.14's default start method on Linux
+_RUN_IN_TEST_EXTRACT = {("extract", "sigterm", 2), ("extract", "sigint", 1), ("extract", "sigint", 2),
+                        ("analyze", "sigint", 2), ("extract", "dead-worker", 2)}
+_CELLS = [  # (command, failure, parallel, launcher) of each interrupted run that no TestExtract test makes
+    *[(command, failure, parallel, None) for command in ("extract", "evaluate", "analyze")
+      for failure, parallel in (("sigterm", 1), ("sigterm", 2), ("sigint", 1), ("sigint", 2), ("dead-worker", 2))
+      if (command, failure, parallel) not in _RUN_IN_TEST_EXTRACT],
+    ("extract", "sigterm", 2, "forkserver"),  # the pool keeps to fork, so its workers stay the CLI's children
+]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process parents from /proc")
+@pytest.mark.parametrize("command, failure, parallel, launcher", _CELLS,
+                         ids=["-".join(str(part) for part in cell if part) for cell in _CELLS])
+def test_interrupted_run_is_one_error_line_or_none_and_leaves_out_as_it_was(tmp_path, big_corpus, command, failure,
+                                                                              parallel, launcher):
+    if parallel > _USABLE_CPUS:
+        pytest.skip("needs a usable CPU per worker")
+    interrupt, status, error_line = _INTERRUPTS[failure]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("an earlier run's file\n", encoding="utf-8")
+    argv = [command, "--parallel", str(parallel)]
+    argv += {"evaluate": ["--gold", str(GOLDEN_GOLD)], "analyze": ["--labeler", "keyword"]}.get(command, [])
+    workers = parallel if parallel > 1 else 0
+    launcher = _FORKSERVER if launcher else ("-m", "sourcescope.cli")
+    code, err, children, out = _interrupted_run(tmp_path, argv, workers, interrupt, big_corpus, launcher)
+    why = f"code {code}, stderr {err!r}"
+    if code == cli.EXIT_OK:  # finished before it could be interrupted
+        assert len(list(out.iterdir())) > 1, why
+        return
+    assert code == status, why
+    if error_line:
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err, why
+    else:
+        assert err == "", why
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == {"earlier.txt": b"an earlier run's file\n"}
+    assert len(children) == workers and not [pid for pid in children if _alive(pid)], why

@@ -1,4 +1,6 @@
 import itertools
+import json
+import random
 
 import pytest
 
@@ -8,6 +10,7 @@ from sourcescope.evaluator import (
     GoldAnnotation,
     KIND_ORDER,
     MetricRow,
+    _gold_map,
     compare,
     f1_transposition_note,
     load_gold,
@@ -63,6 +66,30 @@ class TestCompare:
             compare([mention(1, Kind.QUOTATION), mention(1, Kind.PARAPHRASE)], [])
         with pytest.raises(ValueError, match="duplicate"):
             compare([], [gold(1, Kind.QUOTATION), gold(1, Kind.PARAPHRASE)])
+
+    @pytest.mark.parametrize("taken", ["in-gold", "not-in-gold"])
+    def test_duplicate_prediction_in_a_stream_rejected(self, taken):
+        golds = [gold(1, Kind.QUOTATION)] if taken == "in-gold" else []
+        for gold_side in (golds, {(g.article_id, g.sentence_index, g.platform): g.kind for g in golds}):
+            with pytest.raises(ValueError, match="duplicate prediction key"):
+                compare(iter([mention(1, Kind.QUOTATION), mention(2, Kind.QUOTATION), mention(1, Kind.EMBEDDING)]),
+                        gold_side)
+
+    def test_keyed_gold_file_scores_as_its_annotations(self, tmp_path):
+        rng = random.Random(25)
+        keys = {(f"a{rng.randrange(40)}", rng.randrange(4), rng.choice(list(Platform))) for _ in range(300)}
+        golds = [GoldAnnotation(*key, rng.choice(KIND_ORDER)) for key in sorted(keys)[::2]]
+        predicted = [SourceMention(*key, rng.choice(KIND_ORDER), None, 0, 1) for key in sorted(keys)[1::3]]
+        path = tmp_path / "gold.jsonl"
+        path.write_text("".join(json.dumps({"article_id": g.article_id, "sentence_index": g.sentence_index,
+                                            "platform": g.platform.value, "kind": g.kind.value}) + "\n"
+                                for g in golds), encoding="utf-8")
+        keyed = _gold_map(path)
+        assert load_gold(path) == golds
+        assert keyed == {(g.article_id, g.sentence_index, g.platform): g.kind for g in golds}
+        expected = compare(predicted, golds)
+        assert min(sum(c.values()) for c in (expected.tp, expected.fp, expected.fn)) > 10
+        assert compare(iter(predicted), keyed) == expected
 
     def test_exact_accounting_property(self):
         predicted = [mention(i, KIND_ORDER[i % 3]) for i in range(30)]

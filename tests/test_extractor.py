@@ -454,8 +454,11 @@ class TestCouldCiteGate:
         quiet_body = "The council met. Residents waited! Officials spoke?"
         quiet = extract_mentions(article(quiet_body), pattern_set, sentences=True)
         assert calls == [] and len(quiet.sentences) == 3
-        extract_mentions(article("The council met. She tweeted about it. Residents waited."), pattern_set)
-        assert calls == ["The council met.", "She tweeted about it.", "Residents waited."]
+        # of a body that could cite, only the sentences that could cite on their own text are classified
+        body = "The council met. She TWEETED about it. Call (@home) now. Ann ſaw İt. See Twıtter.com today."
+        extract_mentions(article(body), pattern_set)
+        assert calls == ["She TWEETED about it.", "Call (@home) now.", "See Twıtter.com today."]
+        assert [s for s in calls if not could_cite(s, pattern_set)] == []
 
 
 class TestWithoutSentences:

@@ -7,7 +7,7 @@ from bisect import bisect_right
 
 from conftest import random_body
 
-from sourcescope.patterns import OPENING_QUOTE_CHARS, extract_quote_spans
+from sourcescope.patterns import OPENING_QUOTE_CHARS, extract_quote_spans, fold_case
 from sourcescope.segmenter import _TERMINATOR_RE, ABBREVIATIONS, segment
 
 
@@ -220,6 +220,30 @@ def test_segment_equals_naive_oracle_with_wide_whitespace():
         assert [tuple(span) for span in segment(text)] == expected, repr(text)
         splits += len(expected) - 1
     assert splits > 20000
+
+
+# words whose case fold is not str.lower() (İ, ı, ſ) or depends on the neighbours (Σ, final only at a word end)
+_FOLD_EDGE_WORDS = ("Σ", "ΑΣ", "ΟΔΥΣΣΕΥΣ", "ΣΑ", "İ", "İt", "ı", "ıs", "ſ", "aſ", "Ann", "the", "ΑΣ'", "'ΣΑ")
+_FOLD_EDGE_SEPARATORS = (" ", " ", ". ", "! ", "? ", ".\u3000", "\n\n", "\n \n", ".\n\n", "\t")
+
+
+def test_one_fold_per_body_slices_into_each_sentence_fold():
+    # the premise of extract_mentions folding each body once: a sentence's fold is its slice of the body's fold
+    rng = random.Random(25)
+    seen = {"final sigma at a sentence end": 0, "special at a sentence start": 0, "special at a sentence end": 0}
+    for _ in range(4000):
+        pieces = [random_body(rng, 2)] if rng.random() < 0.2 else []
+        for _ in range(rng.randint(1, 10)):
+            pieces += [rng.choice(_FOLD_EDGE_WORDS), rng.choice(_FOLD_EDGE_SEPARATORS)]
+        body = "".join(pieces)
+        folded = fold_case(body)
+        for span in segment(body):
+            sentence = body[span.start:span.end]
+            assert folded[span.start:span.end] == fold_case(sentence), repr(body)
+            seen["final sigma at a sentence end"] += sentence.rstrip(".!?'").endswith("Σ")
+            seen["special at a sentence start"] += sentence.lstrip("'")[0] in "ΣİıſΑ"
+            seen["special at a sentence end"] += sentence.rstrip(".!?'")[-1] in "Σİıſ"
+    assert min(seen.values()) > 500, seen
 
 
 _PLUS_TERMINATOR_RE = re.compile(_TERMINATOR_RE.pattern.replace("[.!?][.!?]*", "[.!?]+", 1))
