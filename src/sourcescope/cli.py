@@ -32,11 +32,20 @@ def _out_dir(path):
     into `path` together when the block completes; the directory goes in any case, with what is left."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    # an error in removing the directory must not replace the run's own
-    with tempfile.TemporaryDirectory(prefix=".", suffix=".tmp", dir=out, ignore_cleanup_errors=True) as staging:
-        yield Path(staging)
-        for staged in Path(staging).iterdir():
-            os.replace(staged, out / staged.name)
+    # SIGTERM and SIGINT wait while the directory is made and while it is published and removed, so that
+    # their unwinding neither leaves it behind nor moves only some of its files
+    stop_signals = {signal.SIGTERM, signal.SIGINT}
+    signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
+    try:
+        # an error in removing the directory must not replace the run's own
+        with tempfile.TemporaryDirectory(prefix=".", suffix=".tmp", dir=out, ignore_cleanup_errors=True) as staging:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, stop_signals)
+            yield Path(staging)
+            signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
+            for staged in Path(staging).iterdir():
+                os.replace(staged, out / staged.name)
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, stop_signals)
 
 
 def _labeler(args: argparse.Namespace):

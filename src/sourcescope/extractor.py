@@ -124,6 +124,7 @@ def _init_worker(function, context: tuple) -> None:
     global _worker_task
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the parent's unwinding handler
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the whole group; the parent unwinds the pool
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM, signal.SIGINT})  # blocked in the parent at the fork
     _worker_task = (function, context)
 
 
@@ -152,12 +153,17 @@ def map_chunks(function, articles: Iterable[Article], context: tuple = (), worke
     chunks = iter(lambda: list(islice(source, CHUNK_ARTICLES)), [])
     # fork on Linux, its default until Python 3.14 chose forkserver: the workers stay the CLI's own children
     mp_context = get_context("fork" if sys.platform == "linux" else None)
+    # SIGTERM and SIGINT wait until the first submit has forked the workers and started the pool's thread:
+    # raised in between, their unwinding would find a pool that shutdown() cannot stop
+    stop_signals = {signal.SIGTERM, signal.SIGINT}
+    signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
     try:
         with ProcessPoolExecutor(workers, mp_context, _init_worker, (function, context)) as pool:
             pending: deque = deque()  # of futures of the chunks' output lists
             try:
                 for chunk in chunks:
                     pending.append(pool.submit(_run_chunk, chunk))
+                    signal.pthread_sigmask(signal.SIG_UNBLOCK, stop_signals)
                     if len(pending) == workers * CHUNKS_PER_WORKER:
                         yield from pending.popleft().result()
                 while pending:
@@ -167,6 +173,8 @@ def map_chunks(function, articles: Iterable[Article], context: tuple = (), worke
                     future.cancel()
     except BrokenProcessPool as exc:  # a worker died, killed or out of memory
         raise OSError(f"extraction worker died: {exc}") from None
+    finally:  # also when no chunk was submitted
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, stop_signals)
 
 
 def extract_chunk(articles, pattern_set: PatternSet) -> Iterator[ExtractionResult]:

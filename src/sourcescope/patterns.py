@@ -103,7 +103,7 @@ def _check_pattern(pat: CitationPattern, seen: set) -> None:
 
 
 class PatternSet:
-    """Immutable collection of citation patterns, validated and pre-compiled."""
+    """Immutable collection of validated citation patterns; each phrase's regex is compiled at its first run."""
 
     def __init__(self, patterns, version: str = "unversioned"):
         pats = tuple(patterns)
@@ -118,12 +118,13 @@ class PatternSet:
 
         self.patterns = pats
         self.version = version
-        # group key -> filing word (longest required word but the key, else b"") -> [(pattern, words, regex, on folded)]
+        # group key -> filing word (longest required word but the key, else b"") -> [[pattern, words, regex, on folded]]
+        # the regex slot is None until _candidates first lets the phrase through
         self._groups: dict[str, dict[bytes, list]] = {}
         for pat in pats:
             key, words = _prescreen_words(pat.phrase, pat.anchored)
             filed = max(words, key=lambda w: (w != key.encode(), len(w), w), default=b"")
-            entry = (pat, words, _compile_phrase(pat.phrase, pat.anchored), pat.phrase.isascii())
+            entry = [pat, words, None, pat.phrase.isascii()]
             self._groups.setdefault(key, {}).setdefault(filed, []).append(entry)
 
 
@@ -215,8 +216,11 @@ def _candidates(sentence: str, folded: str, pattern_set: PatternSet):
         if key in folded:
             tokens = _word_set(sentence) if tokens is None else tokens
             for word in filed.keys() & tokens:
-                for pat, words, rx, on_folded in filed[word]:
-                    if words <= tokens:
+                for entry in filed[word]:
+                    if entry[1] <= tokens:
+                        pat, _, rx, on_folded = entry
+                        if rx is None:  # compiled once per process, and only for a phrase some sentence reaches
+                            rx = entry[2] = _compile_phrase(pat.phrase, pat.anchored)
                         yield pat, rx, folded if on_folded else sentence
 
 

@@ -57,18 +57,28 @@ def _alive(pid) -> bool:
     return stat[stat.rindex(")") + 2] != "Z"
 
 
-def _live_children(parent) -> list:
-    children = []
+def _live_processes() -> dict:
+    """pid -> (parent pid, process group) of each process that has not exited."""
+    processes = {}
     for entry in Path("/proc").iterdir():
         if entry.name.isdigit():
             try:
                 stat = (entry / "stat").read_text()
             except OSError:
                 continue
-            state, ppid = stat[stat.rindex(")") + 2:].split()[:2]
-            if int(ppid) == parent and state != "Z":
-                children.append(int(entry.name))
-    return children
+            state, ppid, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+            if state != "Z":
+                processes[int(entry.name)] = (int(ppid), int(pgrp))
+    return processes
+
+
+def _live_children(parent) -> list:
+    return [pid for pid, (ppid, _) in _live_processes().items() if ppid == parent]
+
+
+def _live_in_group(group) -> list:
+    """The live processes of a process group, an orphan too (it keeps its group when another process adopts it)."""
+    return [pid for pid, (_, pgrp) in _live_processes().items() if pgrp == group]
 
 
 def _kill_quietly(pid) -> None:
@@ -90,25 +100,26 @@ def _interrupted_run(tmp_path, argv, workers, interrupt, corpus_path=None, launc
         serialize(random_corpus(random.Random(6), 20000), corpus_path)
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.Popen(
+    children: list = []
+    # the with block closes the stderr pipe on every path, a timeout too
+    with subprocess.Popen(
         [sys.executable, *launcher, *argv, "--corpus", str(corpus_path), "--out", str(out)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True,
-    )
-    children: list = []
-    try:
-        deadline = time.monotonic() + 60
-        while proc.poll() is None and time.monotonic() < deadline:
-            children = _live_children(proc.pid)
-            if len(children) == workers and out.is_dir() and any(out.glob(".*.tmp")):
-                interrupt(proc, children)
-                break
-            time.sleep(0.01)
-        _, err = proc.communicate(timeout=30)
-    finally:
-        for pid in _live_children(proc.pid) + children:
-            _kill_quietly(pid)
-        proc.kill()
-        proc.wait()
+    ) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while proc.poll() is None and time.monotonic() < deadline:
+                children = _live_children(proc.pid)
+                if len(children) == workers and out.is_dir() and any(out.glob(".*.tmp")):
+                    interrupt(proc, children)
+                    break
+                time.sleep(0.01)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            for pid in _live_children(proc.pid) + children:
+                _kill_quietly(pid)
+            proc.kill()
+            proc.wait()
     return proc.returncode, err, children, out
 
 
@@ -1234,7 +1245,7 @@ def test_interrupted_run_is_one_error_line_or_none_and_leaves_out_as_it_was(tmp_
     code, err, children, out = _interrupted_run(tmp_path, argv, workers, interrupt, big_corpus, launcher)
     why = f"code {code}, stderr {err!r}"
     if code == cli.EXIT_OK:  # finished before it could be interrupted
-        assert len(list(out.iterdir())) > 1, why
+        assert len(list(out.iterdir())) > 1 and "Traceback" not in err, why
         return
     assert code == status, why
     if error_line:
@@ -1243,3 +1254,55 @@ def test_interrupted_run_is_one_error_line_or_none_and_leaves_out_as_it_was(tmp_
         assert err == "", why
     assert {path.name: path.read_bytes() for path in out.iterdir()} == {"earlier.txt": b"an earlier run's file\n"}
     assert len(children) == workers and not [pid for pid in children if _alive(pid)], why
+
+
+_SIGTERM_AT = {  # step of a run's start-up -> launcher code that makes the CLI send itself SIGTERM there
+    # inside the first submit: the workers are forked, the pool's thread that stops them is not yet started
+    "pool-start": """
+from concurrent.futures.process import ProcessPoolExecutor
+launch = ProcessPoolExecutor._launch_processes
+def launching(self):
+    launch(self)
+    os.kill(os.getpid(), signal.SIGTERM)
+ProcessPoolExecutor._launch_processes = launching
+""",
+    # in the parent's after-fork hooks, where an exception is printed and ignored
+    "after-fork": "os.register_at_fork(after_in_parent=lambda: os.kill(os.getpid(), signal.SIGTERM))",
+    # the staging directory is made, the block that removes it is not yet entered
+    "staging-dir": """
+import tempfile
+mkdtemp = tempfile.mkdtemp
+def making(*args, **kwargs):
+    path = mkdtemp(*args, **kwargs)
+    os.kill(os.getpid(), signal.SIGTERM)
+    return path
+tempfile.mkdtemp = making
+""",
+}
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process groups from /proc")
+@pytest.mark.parametrize("step, parallel", [("pool-start", 2), ("after-fork", 2), ("staging-dir", 1)])
+def test_sigterm_at_a_start_up_step_waits_until_the_run_can_unwind(tmp_path, step, parallel):
+    if parallel > _USABLE_CPUS:
+        pytest.skip("needs a usable CPU per worker")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("an earlier run's file\n", encoding="utf-8")
+    launcher = f"import os, signal\n{_SIGTERM_AT[step]}\nfrom sourcescope import cli\ncli.entry()\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = ["extract", "--parallel", str(parallel), "--corpus", str(GOLDEN_CORPUS), "--out", str(out)]
+    with subprocess.Popen([sys.executable, "-c", launcher, *argv], env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:  # the CLI has exited unless it timed out; a worker it left is still in its group
+            left = _live_in_group(proc.pid)
+            for pid in left:
+                _kill_quietly(pid)
+            proc.kill()
+            proc.wait()
+    why = f"code {proc.returncode}, stderr {err!r}, left {left}"
+    assert proc.returncode == -signal.SIGTERM and err == "" and not left, why
+    assert sorted(path.name for path in out.iterdir()) == ["earlier.txt"], why
+    assert (out / "earlier.txt").read_bytes() == b"an earlier run's file\n"

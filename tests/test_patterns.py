@@ -1,17 +1,23 @@
+import pickle
 import random
 import re
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from conftest import random_body
+from conftest import GOLDEN_CORPUS, random_body, random_corpus
 
+from sourcescope import patterns
+from sourcescope.corpus import ingest
+from sourcescope.extractor import extract_corpus, extract_mentions
 from sourcescope.patterns import (
     _ATTRIBUTION_RE,
     _PAIR_TABLE,
     _PIC_LINK_RE,
     _STATUS_LINK_RE,
+    _prescreen_words,
     OPENING_QUOTE_CHARS,
     CitationPattern,
     PatternFileError,
@@ -25,6 +31,7 @@ from sourcescope.patterns import (
     load_patterns,
     match_patterns,
 )
+from sourcescope.segmenter import segment
 
 
 def count(pattern_set, platform):
@@ -199,6 +206,71 @@ class TestMatchPatterns:
     def test_custom_phrase_without_platform_word(self, tmp_path, phrase, sentence, expected):
         ps = load_patterns(write_tsv(tmp_path / "p.tsv", [f"twitter\t{phrase}", "facebook\tposted on facebook"]))
         assert [(h.pattern_id, h.start, h.end) for h in match_patterns(sentence, ps)] == expected
+
+
+class TestCompileAtFirstRun:
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """The phrases that _compile_phrase compiles from now on, in call order."""
+        compiled = []
+        compile_phrase = patterns._compile_phrase
+
+        def spying(phrase, anchored):
+            compiled.append(phrase)
+            return compile_phrase(phrase, anchored)
+
+        monkeypatch.setattr(patterns, "_compile_phrase", spying)
+        return compiled
+
+    def test_loading_the_bundled_set_compiles_no_phrase(self, monkeypatch):
+        compiled = self.spy(monkeypatch)
+        ps = default_patterns.__wrapped__()  # a fresh load, not the cached set
+        assert len(ps.patterns) >= 212 and compiled == []
+
+    def test_extraction_compiles_each_phrase_once_and_only_past_its_prescreen(self, monkeypatch):
+        compiled = self.spy(monkeypatch)
+        ps = default_patterns.__wrapped__()
+        corpus = ingest(GOLDEN_CORPUS)
+        for _ in range(2):  # the second pass compiles nothing
+            results = extract_corpus(corpus, ps)
+        assert len(compiled) == len(set(compiled))
+        passed = set()  # the phrases whose prescreen some sentence of the corpus passes
+        for article in corpus:
+            for _, start, end in segment(article.body, extract_quote_spans(article.body)):
+                folded = fold_case(article.body[start:end])
+                words = {word.encode() for word in re.findall(r"\w+", folded)}
+                for pat in ps.patterns:
+                    key, required = _prescreen_words(pat.phrase, pat.anchored)
+                    if key in folded and required <= words:
+                        passed.add(pat.phrase)
+        assert set(compiled) == passed
+        hit = {pat.phrase for pat in ps.patterns
+               if any(m.pattern_id == pat.id for result in results for m in result.mentions)}
+        assert hit and hit <= passed and len(passed) < len(ps.patterns)
+
+    def test_a_set_pickled_before_or_after_use_matches_as_a_fresh_one(self):
+        # the spawn and forkserver workers unpickle the set; a regex compiled before the pickle comes along
+        rng = random.Random(12)
+        phrases = [pat.phrase for pat in default_patterns().patterns]
+        sentences = [
+            f"{random_body(rng, 1)} {rng.choice([str.upper, str.title, str])(rng.choice(phrases))} "
+            f"{random_body(rng, 1)}" if rng.random() < 0.7 else random_body(rng, 2)
+            for _ in range(300)
+        ]
+        articles = [replace(article, body=" ".join(sentences[i::40]))
+                    for i, article in enumerate(random_corpus(rng, 40))]
+        used = default_patterns.__wrapped__()
+        for sentence in sentences[::2]:
+            match_patterns(sentence, used)
+        assert any(entry[2] for filed in used._groups.values() for entries in filed.values() for entry in entries)
+        before = pickle.loads(pickle.dumps(default_patterns.__wrapped__()))
+        after = pickle.loads(pickle.dumps(used))
+
+        def results(ps):
+            return [match_patterns(s, ps) for s in sentences], [extract_mentions(a, ps) for a in articles]
+
+        expected = results(default_patterns.__wrapped__())
+        assert any(expected[0]) and results(before) == expected and results(after) == expected
 
 
 def test_fold_case_is_exact_on_every_code_point():
