@@ -40,8 +40,10 @@ def _out_dir(path):
         # an error in removing the directory must not replace the run's own
         with tempfile.TemporaryDirectory(prefix=".", suffix=".tmp", dir=out, ignore_cleanup_errors=True) as staging:
             signal.pthread_sigmask(signal.SIG_UNBLOCK, stop_signals)
-            yield Path(staging)
-            signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
+            try:
+                yield Path(staging)
+            finally:  # also when the run fails, so that the removal is not cut short
+                signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
             for staged in Path(staging).iterdir():
                 os.replace(staged, out / staged.name)
     finally:

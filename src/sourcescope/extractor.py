@@ -17,10 +17,10 @@ from sourcescope.patterns import (
     PatternSet,
     Platform,
     _candidates,
-    _could_cite_folded,
-    _embedding_span,
     contains_quote_signs,
+    could_cite,
     extract_quote_spans,
+    find_embedding_span,
     fold_case,
 )
 from sourcescope.segmenter import segment
@@ -64,22 +64,20 @@ class ExtractionResult:
     direct_quote_count: int
 
 
-def classify_sentence(sentence: str, pattern_set: PatternSet) -> list[tuple]:
-    """Classify one sentence; at most one emission per platform.
+def classify_sentence(sentence: str, folded: str, pattern_set: PatternSet) -> list[tuple]:
+    """Classify one sentence, given folded = fold_case(sentence); at most one emission per platform.
 
-    The embedding test runs first and, when it fires, suppresses Twitter
-    pattern hits for the sentence. Each remaining platform with a pattern
+    An embedding makes the sentence's Twitter emission an Embedding, in
+    place of any Twitter pattern hit. Each other platform with a pattern
     hit is a Quotation when the sentence carries quote signs, else a
-    Paraphrase. The sentence is case-folded once, for both tests. Returns
-    (platform, kind, (start, end), pattern_id) tuples.
+    Paraphrase. Returns (platform, kind, (start, end), pattern_id) tuples.
     """
-    folded = fold_case(sentence)
     first_hit: dict = {}  # platform -> the least (start, end, pattern_id), as a regex's leftmost match is its least
     for pat, rx, text in _candidates(sentence, folded, pattern_set):
         m = rx.search(text)
         if m and (hit := (*m.span(), pat.id)) < first_hit.setdefault(pat.platform, hit):  # the first hit sets it
             first_hit[pat.platform] = hit
-    embedding_span = _embedding_span(sentence, folded)
+    embedding_span = find_embedding_span(sentence, folded)
     emissions: list[tuple] = []
     quoted: Optional[bool] = None
     for platform in (Platform.FACEBOOK, Platform.TWITTER):  # emissions in platform order
@@ -96,18 +94,18 @@ def classify_sentence(sentence: str, pattern_set: PatternSet) -> list[tuple]:
 
 def extract_mentions(article: Article, pattern_set: PatternSet, *, sentences: bool = False) -> ExtractionResult:
     """Quote-scan and case-fold the body once; segment it if it could cite or `sentences` asks for its sentence
-    spans (else `sentences` is ()), and classify each sentence that could cite. The gate reads a sentence's fold as
-    a slice of the body's: fold_case maps one character to one, and final sigma's context stops at the whitespace
-    around a span."""
+    spans (else `sentences` is ()), and classify each sentence that could cite. A sentence's fold is its slice of
+    the body's, for the gate and the cascade: fold_case maps one character to one, and final sigma's context stops
+    at the whitespace around a span."""
     quotes = extract_quote_spans(article.body)
     folded = fold_case(article.body)
-    cites = _could_cite_folded(article.body, folded, pattern_set)
+    cites = could_cite(folded, pattern_set)
     spans = segment(article.body, quotes) if cites or sentences else ()
     mentions: list[SourceMention] = []
     for index, start, end in spans if cites else ():
-        sentence = article.body[start:end]
-        if _could_cite_folded(sentence, folded[start:end], pattern_set):  # no key or marker, no mention
-            for platform, kind, span, pattern_id in classify_sentence(sentence, pattern_set):
+        sentence, sentence_fold = article.body[start:end], folded[start:end]
+        if could_cite(sentence_fold, pattern_set):  # no key or marker, no mention
+            for platform, kind, span, pattern_id in classify_sentence(sentence, sentence_fold, pattern_set):
                 mentions.append(SourceMention(article.id, index, platform, kind, pattern_id, *span))
     return ExtractionResult(
         article_id=article.id,

@@ -239,14 +239,9 @@ _PIC_LINK_RE = re.compile(r"pic\.twitter\.com/\w+", re.IGNORECASE)
 _STATUS_LINK_RE = re.compile(r"twitter\.com/\w+/status(?:es)?/\d+", re.IGNORECASE)
 
 
-def find_embedding_span(sentence: str) -> Optional[tuple[int, int]]:
-    """Offsets of the first embedded-tweet residue in the sentence, if any."""
-    return _embedding_span(sentence, fold_case(sentence))
-
-
-def _embedding_span(sentence: str, folded: str) -> Optional[tuple[int, int]]:
-    """find_embedding_span(sentence), given folded = fold_case(sentence)."""
-    if "(@" not in sentence and "twitter.com" not in folded:  # the link rules ignore case
+def find_embedding_span(sentence: str, folded: str) -> Optional[tuple[int, int]]:
+    """Offsets of the first embedded-tweet residue in the sentence, if any; folded is fold_case(sentence)."""
+    if "(@" not in folded and "twitter.com" not in folded:  # the link rules ignore case
         return None
     for rx in (_ATTRIBUTION_RE, _PIC_LINK_RE, _STATUS_LINK_RE):
         m = rx.search(sentence)
@@ -255,19 +250,14 @@ def _embedding_span(sentence: str, folded: str) -> Optional[tuple[int, int]]:
     return None
 
 
-def could_cite(text: str, pattern_set: PatternSet) -> bool:
-    """False only when no sentence cut from text can yield a phrase hit or an embedding.
+def could_cite(folded: str, pattern_set: PatternSet) -> bool:
+    """False only when no sentence cut from text can yield a phrase hit or an embedding; folded is fold_case(text).
 
-    A group key or "twitter.com" found in a sentence's case-folded text is
-    also found in the case-folded text holding it: each is ASCII, and
+    A group key, "twitter.com" or "(@" found in a sentence's case-folded text
+    is also found in the case-folded text holding it: each is ASCII, and
     fold_case maps every character that folds to ASCII on its own.
     """
-    return _could_cite_folded(text, fold_case(text), pattern_set)
-
-
-def _could_cite_folded(text: str, folded: str, pattern_set: PatternSet) -> bool:
-    """could_cite(text, pattern_set), given folded = fold_case(text)."""
-    return "(@" in text or "twitter.com" in folded or any(key in folded for key in pattern_set._groups)
+    return "(@" in folded or "twitter.com" in folded or any(key in folded for key in pattern_set._groups)
 
 
 # --- quote-mark table and scanning ---

@@ -1256,7 +1256,7 @@ def test_interrupted_run_is_one_error_line_or_none_and_leaves_out_as_it_was(tmp_
     assert len(children) == workers and not [pid for pid in children if _alive(pid)], why
 
 
-_SIGTERM_AT = {  # step of a run's start-up -> launcher code that makes the CLI send itself SIGTERM there
+_SIGTERM_AT = {  # step of a run -> launcher code that makes the CLI send itself SIGTERM there
     # inside the first submit: the workers are forked, the pool's thread that stops them is not yet started
     "pool-start": """
 from concurrent.futures.process import ProcessPoolExecutor
@@ -1278,20 +1278,28 @@ def making(*args, **kwargs):
     return path
 tempfile.mkdtemp = making
 """,
+    # the staging directory's removal begins
+    "staging-removal": """
+import shutil
+rmtree = shutil.rmtree
+def removing(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGTERM)
+    return rmtree(*args, **kwargs)
+shutil.rmtree = removing
+""",
 }
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process groups from /proc")
-@pytest.mark.parametrize("step, parallel", [("pool-start", 2), ("after-fork", 2), ("staging-dir", 1)])
-def test_sigterm_at_a_start_up_step_waits_until_the_run_can_unwind(tmp_path, step, parallel):
-    if parallel > _USABLE_CPUS:
-        pytest.skip("needs a usable CPU per worker")
+def _run_sigterm_launcher(tmp_path, step, argv):
+    """Run the CLI with argv and --out tmp_path/out (which holds an earlier run's file), from a launcher that makes
+    it send itself SIGTERM at `step`; assert that it dies of SIGTERM, silently, leaving no process and --out as it
+    was."""
     out = tmp_path / "out"
     out.mkdir()
     (out / "earlier.txt").write_text("an earlier run's file\n", encoding="utf-8")
     launcher = f"import os, signal\n{_SIGTERM_AT[step]}\nfrom sourcescope import cli\ncli.entry()\n"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    argv = ["extract", "--parallel", str(parallel), "--corpus", str(GOLDEN_CORPUS), "--out", str(out)]
+    argv = [*argv, "--out", str(out)]
     with subprocess.Popen([sys.executable, "-c", launcher, *argv], env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
         try:
@@ -1306,3 +1314,19 @@ def test_sigterm_at_a_start_up_step_waits_until_the_run_can_unwind(tmp_path, ste
     assert proc.returncode == -signal.SIGTERM and err == "" and not left, why
     assert sorted(path.name for path in out.iterdir()) == ["earlier.txt"], why
     assert (out / "earlier.txt").read_bytes() == b"an earlier run's file\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process groups from /proc")
+@pytest.mark.parametrize("step, parallel", [("pool-start", 2), ("after-fork", 2), ("staging-dir", 1)])
+def test_sigterm_at_a_start_up_step_waits_until_the_run_can_unwind(tmp_path, step, parallel):
+    if parallel > _USABLE_CPUS:
+        pytest.skip("needs a usable CPU per worker")
+    _run_sigterm_launcher(tmp_path, step, ["extract", "--parallel", str(parallel), "--corpus", str(GOLDEN_CORPUS)])
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process groups from /proc")
+def test_sigterm_while_a_failed_run_removes_its_staging_directory_waits_for_the_removal(tmp_path):
+    # --fail-fast stops at the bad last line, after mentions.jsonl and sentences.tsv are staged
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_bytes(GOLDEN_CORPUS.read_bytes() + b"{not json\n")
+    _run_sigterm_launcher(tmp_path, "staging-removal", ["extract", "--fail-fast", "--corpus", str(corpus_path)])

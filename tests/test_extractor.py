@@ -106,7 +106,7 @@ def naive_extract(art, pattern_set):
         first = {}
         for pid, platform, start, end in naive_phrase_hits(sentence, pattern_set):
             first.setdefault(platform, (pid, start, end))
-        emb = find_embedding_span(sentence)
+        emb = find_embedding_span(sentence, fold_case(sentence))
         if emb is not None:
             mentions.append(
                 SourceMention(art.id, span.index, Platform.TWITTER, Kind.EMBEDDING, None, emb[0], emb[1])
@@ -219,34 +219,34 @@ class TestPhraseOracle:
 class TestClassifySentence:
     def test_quotation(self, pattern_set):
         s = '"What kind of a lawyer would tape a client? So sad!" Trump tweeted.'
-        out = classify_sentence(s, pattern_set)
+        out = classify_sentence(s, fold_case(s), pattern_set)
         assert [(p, k) for p, k, _, _ in out] == [(Platform.TWITTER, Kind.QUOTATION)]
 
     def test_paraphrase(self, pattern_set):
         s = "she tweeted that she was glad to have lost 6 pounds"
-        out = classify_sentence(s, pattern_set)
+        out = classify_sentence(s, fold_case(s), pattern_set)
         assert [(p, k) for p, k, _, _ in out] == [(Platform.TWITTER, Kind.PARAPHRASE)]
 
     @pytest.mark.parametrize("mark", ["'", "’"])
     def test_lone_possessive_is_a_paraphrase(self, pattern_set, mark):
         s = f"The players{mark} union posted on Facebook that talks had stalled."
-        out = classify_sentence(s, pattern_set)
+        out = classify_sentence(s, fold_case(s), pattern_set)
         assert [(p, k) for p, k, _, _ in out] == [(Platform.FACEBOOK, Kind.PARAPHRASE)]
 
     def test_embedding(self, pattern_set):
         s = "— Donald J. Trump (@realDonaldTrump) July 25, 2018"
-        out = classify_sentence(s, pattern_set)
+        out = classify_sentence(s, fold_case(s), pattern_set)
         assert [(p, k) for p, k, _, _ in out] == [(Platform.TWITTER, Kind.EMBEDDING)]
         assert out[0][3] is None
 
     def test_embedding_suppresses_twitter_patterns(self, pattern_set):
         s = 'He took to Twitter: "Sad!" — John Doe (@jdoe) March 3, 2016'
-        out = classify_sentence(s, pattern_set)
+        out = classify_sentence(s, fold_case(s), pattern_set)
         assert [(p, k) for p, k, _, _ in out] == [(Platform.TWITTER, Kind.EMBEDDING)]
 
     def test_both_platforms_two_emissions(self, pattern_set):
         s = "He tweeted the news and later posted on Facebook about it."
-        out = classify_sentence(s, pattern_set)
+        out = classify_sentence(s, fold_case(s), pattern_set)
         assert [(p, k) for p, k, _, _ in out] == [
             (Platform.FACEBOOK, Kind.PARAPHRASE),
             (Platform.TWITTER, Kind.PARAPHRASE),
@@ -256,12 +256,19 @@ class TestClassifySentence:
         folded = []
         monkeypatch.setattr(extractor, "fold_case", lambda text: folded.append(text) or fold_case(text))
         s = "He posted on Facebook: pic.twitter.com/AbC — Jo (@jo) May 4, 2016"
-        out = classify_sentence(s, pattern_set)
-        assert folded == [s]
+        body = f"The council met. She tweeted it again. {s}"
+        result = extract_mentions(article(body), pattern_set)
+        assert folded == [body]  # each sentence is gated and classified on its slice of the body's fold
+        out = classify_sentence(s, fold_case(s), pattern_set)
+        assert folded == [body]
         fb = next(hit for hit in match_patterns(s, pattern_set) if hit.platform is Platform.FACEBOOK)
         assert out == [
             (Platform.FACEBOOK, Kind.PARAPHRASE, (fb.start, fb.end), fb.pattern_id),
-            (Platform.TWITTER, Kind.EMBEDDING, find_embedding_span(s), None),
+            (Platform.TWITTER, Kind.EMBEDDING, find_embedding_span(s, fold_case(s)), None),
+        ]
+        assert [(m.sentence_index, m.platform, m.kind) for m in result.mentions] == [
+            (1, Platform.TWITTER, Kind.PARAPHRASE),
+            *((2, platform, kind) for platform, kind, _, _ in out),
         ]
 
 
@@ -337,7 +344,7 @@ class TestExtractMentions:
         no_twitter_key = PatternSet(
             [CitationPattern("fb-1", Platform.FACEBOOK, "posted on facebook"), CitationPattern("tw-1", Platform.TWITTER, "tweeted")]
         )
-        assert find_embedding_span(body) == span
+        assert find_embedding_span(body, fold_case(body)) == span
         for ps in (pattern_set, no_twitter_key):
             mention = SourceMention("t0", 0, Platform.TWITTER, Kind.EMBEDDING, None, *span)
             assert extract_mentions(article(body), ps).mentions == (mention,)
@@ -355,7 +362,8 @@ def ungated_extract(art, pattern_set):
     mentions = tuple(
         SourceMention(art.id, span.index, platform, kind, pattern_id, start, end)
         for span in spans
-        for platform, kind, (start, end), pattern_id in classify_sentence(art.body[span.start:span.end], pattern_set)
+        for sentence in [art.body[span.start:span.end]]
+        for platform, kind, (start, end), pattern_id in classify_sentence(sentence, fold_case(sentence), pattern_set)
     )
     direct_quotes = sum(1 for q in quotes if q.end - q.start >= MIN_QUOTE_CHARS)
     return ExtractionResult(art.id, mentions, tuple((s.start, s.end) for s in spans), direct_quotes)
@@ -411,7 +419,7 @@ class TestCouldCiteGate:
         ],
     )
     def test_could_cite(self, pattern_set, body, expected):
-        assert could_cite(body, pattern_set) == expected
+        assert could_cite(fold_case(body), pattern_set) == expected
 
     @pytest.mark.parametrize(
         "extra, extra_phrases",
@@ -433,7 +441,7 @@ class TestCouldCiteGate:
             art = article(gate_body(rng, phrases, words, extra_phrases), i)
             result = extract_mentions(art, ps, sentences=True)
             assert result == ungated_extract(art, ps), art.body
-            seen["closed"] += not could_cite(art.body, ps)
+            seen["closed"] += not could_cite(fold_case(art.body), ps)
             if result.mentions:
                 seen["cited"] += 1
                 # cited although no ASCII group key or embed marker is in the body
@@ -450,15 +458,16 @@ class TestCouldCiteGate:
     def test_classify_runs_only_in_bodies_that_could_cite(self, pattern_set, monkeypatch):
         calls = []
         real = extractor.classify_sentence
-        monkeypatch.setattr(extractor, "classify_sentence", lambda s, ps: calls.append(s) or real(s, ps))
+        monkeypatch.setattr(extractor, "classify_sentence", lambda s, f, ps: calls.append((s, f)) or real(s, f, ps))
         quiet_body = "The council met. Residents waited! Officials spoke?"
         quiet = extract_mentions(article(quiet_body), pattern_set, sentences=True)
         assert calls == [] and len(quiet.sentences) == 3
         # of a body that could cite, only the sentences that could cite on their own text are classified
         body = "The council met. She TWEETED about it. Call (@home) now. Ann ſaw İt. See Twıtter.com today."
         extract_mentions(article(body), pattern_set)
-        assert calls == ["She TWEETED about it.", "Call (@home) now.", "See Twıtter.com today."]
-        assert [s for s in calls if not could_cite(s, pattern_set)] == []
+        assert [s for s, _ in calls] == ["She TWEETED about it.", "Call (@home) now.", "See Twıtter.com today."]
+        assert [s for s, f in calls if f != fold_case(s)] == []
+        assert [s for s, _ in calls if not could_cite(fold_case(s), pattern_set)] == []
 
 
 class TestWithoutSentences:

@@ -321,23 +321,27 @@ def test_fold_case_keeps_every_other_ascii_character_and_whitespace_apart():
 
 class TestDetectEmbedding:
     def test_attribution_line(self):
-        assert find_embedding_span("— Donald J. Trump (@realDonaldTrump) July 25, 2018") is not None
+        s = "— Donald J. Trump (@realDonaldTrump) July 25, 2018"
+        assert find_embedding_span(s, fold_case(s)) is not None
 
     def test_pic_link(self):
-        assert find_embedding_span("see pic.twitter.com/AbC123 here") is not None
+        s = "see pic.twitter.com/AbC123 here"
+        assert find_embedding_span(s, fold_case(s)) is not None
 
     def test_status_link(self):
-        assert find_embedding_span("at twitter.com/jack/status/20 today") is not None
+        s = "at twitter.com/jack/status/20 today"
+        assert find_embedding_span(s, fold_case(s)) is not None
 
     def test_facebook_never(self):
-        assert find_embedding_span("She posted a photo on Facebook.") is None
+        s = "She posted a photo on Facebook."
+        assert find_embedding_span(s, fold_case(s)) is None
 
     def test_span_within_sentence_fuzz(self):
         rng = random.Random(11)
         hits = 0
         for _ in range(300):
             sentence = random_body(rng, n_sentences=1)
-            span = find_embedding_span(sentence)
+            span = find_embedding_span(sentence, fold_case(sentence))
             if span is not None:
                 hits += 1
                 start, end = span
@@ -345,7 +349,8 @@ class TestDetectEmbedding:
         assert hits
 
     def test_plain_dash_attribution(self):
-        assert find_embedding_span("- Jane Roe (@jroe) Sept 3, 2015") is not None
+        s = "- Jane Roe (@jroe) Sept 3, 2015"
+        assert find_embedding_span(s, fold_case(s)) is not None
 
     @pytest.mark.parametrize(
         "sentence, rule",
@@ -358,7 +363,7 @@ class TestDetectEmbedding:
     )
     def test_link_in_any_case(self, sentence, rule):
         rx = {"pic": _PIC_LINK_RE, "status": _STATUS_LINK_RE}[rule]
-        assert find_embedding_span(sentence) == rx.search(sentence).span()
+        assert find_embedding_span(sentence, fold_case(sentence)) == rx.search(sentence).span()
 
     def test_prescreen_equals_the_rules_run_unscreened(self):
         """On markers in random case and fold letters, the span is the first match of the three rules."""
@@ -380,7 +385,7 @@ class TestDetectEmbedding:
             sentence = rng.choice(("", "Read ", "— ", "see:")) + marker + rng.choice(("", ".", " now."))
             matches = (rx.search(sentence) for rx in (_ATTRIBUTION_RE, _PIC_LINK_RE, _STATUS_LINK_RE))
             expected = next((m.span() for m in matches if m), None)
-            assert find_embedding_span(sentence) == expected, sentence
+            assert find_embedding_span(sentence, fold_case(sentence)) == expected, sentence
             found["span" if expected else "none"] += 1
             found["only when folded"] += bool(expected) and "(@" not in sentence and "twitter.com" not in sentence
         assert found["none"] and found["only when folded"] > 1000, found
