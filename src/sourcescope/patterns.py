@@ -28,14 +28,6 @@ class CitationPattern:
 
 
 @dataclass(frozen=True)
-class PatternHit:
-    pattern_id: str
-    platform: Platform
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
 class QuoteSpan:
     start: int  # content offsets, exclusive of the quote marks
     end: int
@@ -180,19 +172,6 @@ def default_patterns() -> PatternSet:
     """The bundled default pattern set."""
     with resources.as_file(resources.files("sourcescope").joinpath("data/patterns_default.tsv")) as p:
         return load_patterns(p)
-
-
-def match_patterns(sentence: str, pattern_set: PatternSet) -> list[PatternHit]:
-    """All case-insensitive, word-boundary phrase occurrences, ordered by start.
-
-    Overlapping hits from different patterns are all reported. A phrase's
-    regex runs only when its group key occurs in the case-folded sentence
-    and each of its required words is a whole word there.
-    """
-    candidates = _candidates(sentence, fold_case(sentence), pattern_set)
-    hits = [PatternHit(pat.id, pat.platform, *m.span()) for pat, rx, text in candidates for m in rx.finditer(text)]
-    hits.sort(key=lambda h: (h.start, h.end, h.pattern_id))
-    return hits
 
 
 def _word_set(text: str) -> set:

@@ -408,13 +408,14 @@ class TestExtract:
             os.killpg(proc.pid, signal.SIGINT)  # the terminal sends it to the whole foreground group
 
         code, err, children, out = _interrupted_run(tmp_path, argv, workers, ctrl_c)
+        why = f"code {code}, stderr {err!r}"
         if code == cli.EXIT_OK:  # finished before the signal could be sent
-            assert sorted(path.name for path in out.iterdir())
+            assert sorted(path.name for path in out.iterdir()), why
             return
-        assert err == ""
-        assert code == -signal.SIGINT
-        assert sorted(path.name for path in out.iterdir()) == []
-        assert len(children) == workers and not [pid for pid in children if _alive(pid)]
+        assert err == "", why
+        assert code == -signal.SIGINT, why
+        assert sorted(path.name for path in out.iterdir()) == [], why
+        assert len(children) == workers and not [pid for pid in children if _alive(pid)], why
 
     def test_worker_killed_mid_run_is_one_error_line(self, tmp_path):
         code, err, workers, out = _interrupted_run(

@@ -31,7 +31,6 @@ from sourcescope.patterns import (
     extract_quote_spans,
     find_embedding_span,
     fold_case,
-    match_patterns,
 )
 from sourcescope.segmenter import segment
 
@@ -156,8 +155,8 @@ class TestPhraseOracle:
         [("İ wrote on Facebook today.", [("fb-002", 2, 19)]), ("She poſted on Facebook.", [("fb-001", 4, 22)])],
     )
     def test_fold_characters(self, pattern_set, sentence, expected):
-        hits = [(h.pattern_id, h.start, h.end) for h in match_patterns(sentence, pattern_set)]
-        assert hits == expected
+        out = classify_sentence(sentence, fold_case(sentence), pattern_set)
+        assert [(pid, start, end) for _, _, (start, end), pid in out] == expected
         assert [(pid, start, end) for pid, _, start, end in naive_phrase_hits(sentence, pattern_set)] == expected
 
     def test_fold_characters_in_the_phrase(self):
@@ -165,7 +164,8 @@ class TestPhraseOracle:
             CitationPattern("tw", Platform.TWITTER, "twıt storm"), CitationPattern("fb", Platform.FACEBOOK, "poſted on"),
         ])
         for sentence, expected in [("A Twit storm began.", [("tw", 2, 12)]), ("She POSTED ON it.", [("fb", 4, 13)])]:
-            assert [(h.pattern_id, h.start, h.end) for h in match_patterns(sentence, ps)] == expected
+            out = classify_sentence(sentence, fold_case(sentence), ps)
+            assert [(pid, start, end) for _, _, (start, end), pid in out] == expected
             assert [(pid, start, end) for pid, _, start, end in naive_phrase_hits(sentence, ps)] == expected
 
     def test_matcher_equals_oracle_property(self, pattern_set):
@@ -175,8 +175,9 @@ class TestPhraseOracle:
         hits_by_kind = {"fold": 0, "kelvin": 0, "plain": 0}
         for n in range(20000):
             sentence = fuzz_sentence(rng, phrases, words, fold=n % 2 == 1)
-            hits = [(h.pattern_id, h.platform, h.start, h.end) for h in match_patterns(sentence, pattern_set)]
-            assert hits == naive_phrase_hits(sentence, pattern_set), sentence
+            mentions = extract_mentions(article(sentence), pattern_set).mentions
+            assert mentions == naive_extract(article(sentence), pattern_set), sentence
+            hits = [m.pattern_id for m in mentions if m.pattern_id is not None]
             if any(c in sentence for c in "İıſ"):
                 hits_by_kind["fold"] += len(hits)
             elif "\u212a" in sentence:
@@ -209,9 +210,9 @@ class TestPhraseOracle:
         seen = Counter()
         for n in range(20000):
             sentence = fuzz_sentence(rng, phrases, words, fold=n % 2 == 1)
-            hits = [(h.pattern_id, h.platform, h.start, h.end) for h in match_patterns(sentence, ps)]
-            assert hits == naive_phrase_hits(sentence, ps), sentence
-            seen.update(pid.split("/")[0] for pid, _, _, _ in hits)
+            mentions = extract_mentions(article(sentence), ps).mentions
+            assert mentions == naive_extract(article(sentence), ps), sentence
+            seen.update(m.pattern_id.split("/")[0] for m in mentions if m.pattern_id is not None)
             seen["non-ASCII letter right before an ASCII phrase"] += bool(glued.search(fold_case(sentence)))
         assert len(seen) == len(rules) + 1 and min(seen.values()) > 100, seen
 
@@ -261,9 +262,9 @@ class TestClassifySentence:
         assert folded == [body]  # each sentence is gated and classified on its slice of the body's fold
         out = classify_sentence(s, fold_case(s), pattern_set)
         assert folded == [body]
-        fb = next(hit for hit in match_patterns(s, pattern_set) if hit.platform is Platform.FACEBOOK)
+        fb_id, _, *fb_span = next(hit for hit in naive_phrase_hits(s, pattern_set) if hit[1] is Platform.FACEBOOK)
         assert out == [
-            (Platform.FACEBOOK, Kind.PARAPHRASE, (fb.start, fb.end), fb.pattern_id),
+            (Platform.FACEBOOK, Kind.PARAPHRASE, tuple(fb_span), fb_id),
             (Platform.TWITTER, Kind.EMBEDDING, find_embedding_span(s, fold_case(s)), None),
         ]
         assert [(m.sentence_index, m.platform, m.kind) for m in result.mentions] == [

@@ -11,7 +11,7 @@ from conftest import GOLDEN_CORPUS, random_body, random_corpus
 
 from sourcescope import patterns
 from sourcescope.corpus import ingest
-from sourcescope.extractor import extract_corpus, extract_mentions
+from sourcescope.extractor import classify_sentence, extract_corpus, extract_mentions
 from sourcescope.patterns import (
     _ATTRIBUTION_RE,
     _PAIR_TABLE,
@@ -29,7 +29,6 @@ from sourcescope.patterns import (
     find_embedding_span,
     fold_case,
     load_patterns,
-    match_patterns,
 )
 from sourcescope.segmenter import segment
 
@@ -131,67 +130,75 @@ class TestLoadPatterns:
         assert "she tweeted" in phrases
 
 
+def first_hits(sentence, pattern_set):
+    """(pattern_id, platform, start, end) of each Quotation or Paraphrase that classify_sentence emits."""
+    out = classify_sentence(sentence, fold_case(sentence), pattern_set)
+    return [(pid, platform, start, end) for platform, _, (start, end), pid in out if pid is not None]
+
+
 class TestMatchPatterns:
     def test_trump_tweeted(self, pattern_set):
-        hits = match_patterns('"So sad!" Trump tweeted.', pattern_set)
-        assert [(h.platform, '"So sad!" Trump tweeted.'[h.start:h.end]) for h in hits] == [
+        s = '"So sad!" Trump tweeted.'
+        assert [(platform, s[start:end]) for _, platform, start, end in first_hits(s, pattern_set)] == [
             (Platform.TWITTER, "tweeted")
         ]
 
     def test_took_to_twitter(self, pattern_set):
         s = "He took to Twitter on Monday."
-        hits = match_patterns(s, pattern_set)
-        assert any(s[h.start:h.end].lower() == "took to twitter" for h in hits)
+        assert any(s[start:end].lower() == "took to twitter" for _, _, start, end in first_hits(s, pattern_set))
 
     def test_post_office_no_hit(self, pattern_set):
-        assert match_patterns("The post office reopened.", pattern_set) == []
+        assert first_hits("The post office reopened.", pattern_set) == []
 
     def test_word_boundary(self, pattern_set):
         # "tweeted" must not match inside "retweeted"; the "retweet" stem does
-        hits = match_patterns("He retweeted it.", pattern_set)
-        assert len(hits) == 1
-        assert "He retweeted it."[hits[0].start:hits[0].end].lower() == "retweet"
+        found = first_hits("He retweeted it.", pattern_set)
+        assert len(found) == 1
+        assert "He retweeted it."[found[0][2]:found[0][3]].lower() == "retweet"
+        # the "retweet" hit starts first, so check "tweeted" on its own too
+        tweeted = PatternSet([CitationPattern("tw", Platform.TWITTER, "tweeted"),
+                              CitationPattern("fb", Platform.FACEBOOK, "posted on facebook")])
+        assert first_hits("He retweeted it.", tweeted) == []
 
     def test_left_anchoring_span_is_phrase(self, tmp_path):
         path = write_tsv(tmp_path / "p.tsv", ["twitter\ttweet\tleft", "facebook\tposted on facebook"])
         ps = load_patterns(path)
         s = "Her tweets went viral."
-        hits = [h for h in match_patterns(s, ps) if h.platform == Platform.TWITTER]
-        assert len(hits) == 1
-        assert s[hits[0].start:hits[0].end].lower() == "tweet"
+        found = [h for h in first_hits(s, ps) if h[1] == Platform.TWITTER]
+        assert len(found) == 1
+        assert s[found[0][2]:found[0][3]].lower() == "tweet"
 
     def test_case_insensitive_property(self, pattern_set):
         rng = random.Random(5)
         for _ in range(50):
             s = random_body(rng, n_sentences=1)
-            a = [(h.pattern_id, h.start, h.end) for h in match_patterns(s, pattern_set)]
-            b = [(h.pattern_id, h.start, h.end) for h in match_patterns(s.lower(), pattern_set)]
-            assert a == b
+            assert first_hits(s, pattern_set) == first_hits(s.lower(), pattern_set)
 
     def test_hit_text_equals_phrase_property(self, pattern_set):
         by_id = {p.id: p for p in pattern_set.patterns}
         rng = random.Random(6)
         for _ in range(100):
             s = random_body(rng, n_sentences=2)
-            for h in match_patterns(s, pattern_set):
-                normalized = " ".join(s[h.start:h.end].lower().split())
-                assert normalized == by_id[h.pattern_id].phrase
+            for pid, _, start, end in first_hits(s, pattern_set):
+                normalized = " ".join(s[start:end].lower().split())
+                assert normalized == by_id[pid].phrase
 
-    def test_overlapping_hits_all_reported(self, tmp_path):
+    def test_overlapping_hits_the_least_is_emitted(self, tmp_path):
         path = write_tsv(
             tmp_path / "p.tsv",
-            ["twitter\ttook to twitter", "twitter\ttwitter", "facebook\tposted on facebook"],
+            ["twitter\ttwitter", "twitter\ttook to twitter", "facebook\tposted on facebook"],
         )
         ps = load_patterns(path)
-        hits = match_patterns("She took to Twitter.", ps)
-        assert len(hits) == 2
-        assert hits[0].start <= hits[1].start
+        s = "She took to Twitter."
+        alone = load_patterns(write_tsv(tmp_path / "a.tsv", ["twitter\ttwitter", "facebook\tposted on facebook"]))
+        assert first_hits(s, alone) == [("tw-001", Platform.TWITTER, 12, 19)]
+        # both Twitter phrases hit; the one emission is the least (start, end, pattern id)
+        assert first_hits(s, ps) == [("tw-002", Platform.TWITTER, 4, 19)]
 
     def test_whitespace_flexible_match(self, pattern_set):
         s = "He took  to\tTwitter yesterday."
-        hits = match_patterns(s, pattern_set)
-        assert any(" ".join(s[h.start:h.end].lower().split()) == "took to twitter" for h in hits)
-
+        found = first_hits(s, pattern_set)
+        assert any(" ".join(s[start:end].lower().split()) == "took to twitter" for _, _, start, end in found)
 
     @pytest.mark.parametrize(
         "phrase, sentence, expected",
@@ -205,7 +212,7 @@ class TestMatchPatterns:
     )
     def test_custom_phrase_without_platform_word(self, tmp_path, phrase, sentence, expected):
         ps = load_patterns(write_tsv(tmp_path / "p.tsv", [f"twitter\t{phrase}", "facebook\tposted on facebook"]))
-        assert [(h.pattern_id, h.start, h.end) for h in match_patterns(sentence, ps)] == expected
+        assert [(pid, start, end) for pid, _, start, end in first_hits(sentence, ps)] == expected
 
 
 class TestCompileAtFirstRun:
@@ -261,13 +268,14 @@ class TestCompileAtFirstRun:
                     for i, article in enumerate(random_corpus(rng, 40))]
         used = default_patterns.__wrapped__()
         for sentence in sentences[::2]:
-            match_patterns(sentence, used)
+            classify_sentence(sentence, fold_case(sentence), used)
         assert any(entry[2] for filed in used._groups.values() for entries in filed.values() for entry in entries)
         before = pickle.loads(pickle.dumps(default_patterns.__wrapped__()))
         after = pickle.loads(pickle.dumps(used))
 
         def results(ps):
-            return [match_patterns(s, ps) for s in sentences], [extract_mentions(a, ps) for a in articles]
+            classified = [classify_sentence(s, fold_case(s), ps) for s in sentences]
+            return classified, [extract_mentions(a, ps) for a in articles]
 
         expected = results(default_patterns.__wrapped__())
         assert any(expected[0]) and results(before) == expected and results(after) == expected
