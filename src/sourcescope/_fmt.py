@@ -4,8 +4,6 @@ All printed percentages use round-half-away-from-zero to 2 decimals. Files are w
 a CLI run writes them into a staging directory that `cli._out_dir` publishes when the run succeeds.
 """
 
-from decimal import ROUND_HALF_UP, Decimal
-
 
 def pct(numerator: float, denominator: float) -> float:
     """100 * numerator / denominator, with 0/0 (and x/0) defined as 0."""
@@ -15,10 +13,12 @@ def pct(numerator: float, denominator: float) -> float:
 
 
 def round2(x: float) -> float:
+    from decimal import ROUND_HALF_UP, Decimal
     return float(Decimal(repr(float(x))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def fmt2(x: float) -> str:
+    from decimal import ROUND_HALF_UP, Decimal
     return f"{Decimal(repr(float(x))).quantize(Decimal('0.01'), rounding=ROUND_HALF_UP):.2f}"
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import signal
@@ -255,7 +256,9 @@ def _raise_terminated(signum, frame):
 
 def entry() -> None:
     """Run main(); on SIGTERM or SIGINT (Ctrl-C), unwind first (the staging directory goes,
-    the pool shuts down), then die of that signal as the default handler would have."""
+    the pool shuts down), then die of that signal as the default handler would have. The import-time
+    heap is frozen first: collections, the one at exit too, skip it, and forked workers share its pages."""
+    gc.freeze()
     signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         raise SystemExit(main())

@@ -6,7 +6,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -39,8 +38,7 @@ class IngestError(ValueError):
         return IngestError, (self.line_number, self.reason)
 
 
-@dataclass(frozen=True)
-class Article:
+class Article(NamedTuple):
     id: str
     outlet: str
     media_type: MediaType
@@ -58,10 +56,10 @@ class Rejection(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
 class Corpus:
-    articles: tuple  # of Article, in input-file order
-    source_path: str = ""
+    def __init__(self, articles: tuple, source_path: str = ""):
+        self.articles = articles  # of Article, in input-file order
+        self.source_path = source_path
 
     def __len__(self) -> int:
         return len(self.articles)

@@ -6,10 +6,9 @@ import json
 import signal
 import sys
 from collections import deque
-from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from sourcescope._fmt import write_lines
 from sourcescope.corpus import Article
@@ -45,8 +44,7 @@ class Kind(str, Enum):
 KIND_ORDER = (Kind.QUOTATION, Kind.PARAPHRASE, Kind.EMBEDDING)
 
 
-@dataclass(frozen=True)
-class SourceMention:
+class SourceMention(NamedTuple):
     article_id: str
     sentence_index: int
     platform: Platform
@@ -56,8 +54,7 @@ class SourceMention:
     span_end: int
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     article_id: str
     mentions: tuple  # of SourceMention, sorted by (sentence_index, platform)
     sentences: tuple  # of (start, end) body offsets, in sentence order
@@ -187,8 +184,7 @@ def extract_corpus(articles: Iterable[Article], pattern_set: PatternSet, workers
 
 def mention_to_record(mention: SourceMention) -> dict:
     """The mentions.jsonl object of a mention: its fields in declaration order, each enum as its value."""
-    values = ((field.name, getattr(mention, field.name)) for field in fields(mention))
-    return {name: value.value if isinstance(value, Enum) else value for name, value in values}
+    return {name: value.value if isinstance(value, Enum) else value for name, value in mention._asdict().items()}
 
 
 def write_mentions(results, path) -> int:

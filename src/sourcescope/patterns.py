@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class Platform(str, Enum):
@@ -19,16 +18,14 @@ class PatternFileError(ValueError):
     """A pattern file that cannot be loaded."""
 
 
-@dataclass(frozen=True)
-class CitationPattern:
+class CitationPattern(NamedTuple):
     id: str
     platform: Platform
     phrase: str  # lowercase, single-space separated
     anchored: str = "both"  # "both": word boundary on each side; "left": leading only
 
 
-@dataclass(frozen=True)
-class QuoteSpan:
+class QuoteSpan(NamedTuple):
     start: int  # content offsets, exclusive of the quote marks
     end: int
     open_mark: str

@@ -5,7 +5,6 @@ import re
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
 from datetime import date
 from functools import reduce
 
@@ -126,7 +125,7 @@ class TestReductionInTheWorkers:
         """A seeded random corpus in which about half the headlines name topic keywords."""
         rng = random.Random(n)
         return [
-            replace(a, headline=" ".join(rng.sample(_ALL_KEYWORDS, 2))) if rng.random() < 0.5 else a
+            a._replace(headline=" ".join(rng.sample(_ALL_KEYWORDS, 2))) if rng.random() < 0.5 else a
             for a in random_corpus(rng, n)
         ]
 

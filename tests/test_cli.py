@@ -3,6 +3,7 @@
 import argparse
 import csv
 import errno
+import gc
 import http.server
 import json
 import multiprocessing
@@ -1331,3 +1332,31 @@ def test_sigterm_while_a_failed_run_removes_its_staging_directory_waits_for_the_
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_bytes(GOLDEN_CORPUS.read_bytes() + b"{not json\n")
     _run_sigterm_launcher(tmp_path, "staging-removal", ["extract", "--fail-fast", "--corpus", str(corpus_path)])
+
+
+_FREEZE_PROBE = """
+import gc
+from sourcescope import cli
+def probe(argv=None):
+    print(gc.get_freeze_count())
+    return 0
+cli.main = probe
+cli.entry()
+"""
+
+
+def test_entry_freezes_the_import_heap_before_main():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_main_freezes_nothing(tmp_path, capsys, workers):
+    # a freeze in main() or map_chunks would keep every in-process test's garbage for the rest of the session
+    before = gc.get_freeze_count()
+    argv = ["extract", "--corpus", str(GOLDEN_CORPUS), "--out", str(tmp_path / "out"), "--parallel", str(workers)]
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert gc.get_freeze_count() == before

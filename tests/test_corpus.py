@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -186,8 +185,7 @@ def test_roundtrip_identity(tmp_path):
 def test_records_survive_a_round_trip(tmp_path, seed):
     rng = random.Random(seed)
     articles = [
-        replace(
-            article,
+        article._replace(
             outlet=rng.choice([article.outlet, "Zürcher Blatt", "東京新聞"]),
             headline=rng.choice([article.headline, "Ça va — “oui”"]),
             url=rng.choice([None, "https://example.com/a?b=1", "https://example.com/ü"]),

@@ -67,6 +67,12 @@ def test_extract_loads_neither_analytics_nor_evaluator(tmp_path):
     assert "sourcescope.extractor" in modules  # the listing is of a run that extracted
 
 
+@pytest.mark.parametrize("command", ["ingest", "extract", "sample"])
+def test_serial_run_without_scoring_or_reports_loads_no_dataclasses_or_decimal(tmp_path, command):
+    # the per-record types are named tuples; only evaluate's and analyze's reports are dataclasses and round numbers
+    assert _loaded_of(loaded_modules(COMMANDS[command], tmp_path), ("dataclasses", "inspect", "decimal")) == []
+
+
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="--parallel is capped at the usable CPUs")
 def test_parallel_run_loads_the_process_pool(tmp_path):
     # the check above sees a lazily loaded module once a command runs the code that loads it

@@ -3,7 +3,6 @@ import random
 import re
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -264,7 +263,7 @@ class TestCompileAtFirstRun:
             f"{random_body(rng, 1)}" if rng.random() < 0.7 else random_body(rng, 2)
             for _ in range(300)
         ]
-        articles = [replace(article, body=" ".join(sentences[i::40]))
+        articles = [article._replace(body=" ".join(sentences[i::40]))
                     for i, article in enumerate(random_corpus(rng, 40))]
         used = default_patterns.__wrapped__()
         for sentence in sentences[::2]:
