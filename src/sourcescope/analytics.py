@@ -5,11 +5,10 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from importlib import resources
 from operator import itemgetter
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, NamedTuple, Optional, Protocol
 
 from sourcescope._fmt import fmt2, pct, round2, write_lines
 from sourcescope.corpus import Article, MediaType
@@ -22,7 +21,6 @@ from sourcescope.patterns import PatternSet, Platform, _word_set
 _FIELDS = {"media": 0, "year": 1, "topic": 2, "platform": 3, "kind": 4}
 
 
-@dataclass
 class StatsAccumulator:
     """Mergeable integer counters keyed by (media_type, year, topic).
 
@@ -30,16 +28,20 @@ class StatsAccumulator:
     (platform,). Merge is commutative and associative.
     """
 
-    article_count: Counter = field(default_factory=Counter)
-    articles_with_mention: Counter = field(default_factory=Counter)
-    direct_quotes: Counter = field(default_factory=Counter)
-    platform_articles: Counter = field(default_factory=Counter)
-    mentions: Counter = field(default_factory=Counter)
+    COUNTERS = ("article_count", "articles_with_mention", "direct_quotes", "platform_articles", "mentions")
+
+    def __init__(self):
+        for name in self.COUNTERS:
+            setattr(self, name, Counter())
+
+    def __eq__(self, other):
+        return type(other) is StatsAccumulator and vars(self) == vars(other)  # the five counters
 
     def merge(self, other: "StatsAccumulator") -> "StatsAccumulator":
-        return StatsAccumulator(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
+        merged = StatsAccumulator()
+        for name in self.COUNTERS:
+            setattr(merged, name, getattr(self, name) + getattr(other, name))
+        return merged
 
 
 def accumulate(
@@ -97,8 +99,7 @@ def _grouped(counter: Counter, *by: str, media: Optional[str] = None) -> Counter
 # --- media report (usage by media type and platform) ---
 
 
-@dataclass(frozen=True)
-class PlatformStats:
+class PlatformStats(NamedTuple):
     articles: int
     kinds: dict  # Kind -> count
     kind_pct: dict  # Kind -> percent of this platform's sources
@@ -106,8 +107,7 @@ class PlatformStats:
     share_pct: float  # percent of the media row's total sources
 
 
-@dataclass(frozen=True)
-class MediaRow:
+class MediaRow(NamedTuple):
     media_type: str
     total_articles: int
     articles_with_mention: int
@@ -117,8 +117,7 @@ class MediaRow:
     sources_per_article: float  # sources per article that has at least one
 
 
-@dataclass(frozen=True)
-class MediaReport:
+class MediaReport(NamedTuple):
     rows: dict  # media value -> MediaRow
     overall: MediaRow
 
@@ -161,8 +160,7 @@ def media_report(acc: StatsAccumulator) -> MediaReport:
 # --- yearly trend ---
 
 
-@dataclass(frozen=True)
-class TrendRow:
+class TrendRow(NamedTuple):
     year: int
     media_type: str  # media value or "all"
     article_count: int
@@ -170,8 +168,7 @@ class TrendRow:
     percentage: float
 
 
-@dataclass(frozen=True)
-class TrendReport:
+class TrendReport(NamedTuple):
     rows: tuple  # overall rows, one per year, ascending
     by_media: tuple  # per-media rows plus the overall rows, (year, media) order
 
@@ -196,8 +193,7 @@ def trend_report(acc: StatsAccumulator) -> TrendReport:
 # --- direct quotes vs social-media sources ---
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     media_type: str
     direct_quote_total: int
     avg_quotes_per_article: float
@@ -206,8 +202,7 @@ class RatioRow:
     ratio_label: str  # "1:<ratio>" or "undefined"
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     rows: dict  # media value -> RatioRow
 
 
@@ -233,8 +228,7 @@ def ratio_report(acc: StatsAccumulator) -> RatioReport:
 # --- topic tables ---
 
 
-@dataclass(frozen=True)
-class TopicRow:
+class TopicRow(NamedTuple):
     media_type: str
     topic: str
     article_count: int
@@ -242,8 +236,7 @@ class TopicRow:
     percentage: float
 
 
-@dataclass(frozen=True)
-class TopicKindRow:
+class TopicKindRow(NamedTuple):
     topic: str
     media_type: str
     articles_with_mention: int
@@ -251,8 +244,7 @@ class TopicKindRow:
     kind_pct: dict  # Kind -> percent of this media/topic's sources
 
 
-@dataclass(frozen=True)
-class TopicReport:
+class TopicReport(NamedTuple):
     top_rows: tuple  # of TopicRow, per media, rank order
     kind_rows: tuple  # of TopicKindRow, for each topic of top_rows in sorted order
 
@@ -457,10 +449,10 @@ def write_trend_tsv(report: TrendReport, path) -> None:
 
 
 def _plain(value):
-    """A report value as JSON data: dataclass fields and dict entries become
+    """A report value as JSON data: record fields and dict entries become
     objects (enum keys by value), floats are rounded half-up to 2 decimals."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "_asdict"):
+        return {name: _plain(item) for name, item in value._asdict().items()}
     if isinstance(value, dict):
         return {(k.value if isinstance(k, Enum) else k): _plain(v) for k, v in value.items()}
     if isinstance(value, float):

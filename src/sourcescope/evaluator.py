@@ -3,41 +3,37 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, NamedTuple, Optional
 
 from sourcescope._fmt import fmt2, pct, write_lines
 from sourcescope.extractor import KIND_ORDER, Kind, SourceMention
 from sourcescope.patterns import Platform
 
-@dataclass(frozen=True)
-class GoldAnnotation:
+
+class GoldAnnotation(NamedTuple):
     article_id: str
     sentence_index: int
     platform: Platform
     kind: Kind
 
 
-def _zero_counts() -> dict:
-    return dict.fromkeys(KIND_ORDER, 0)
+_ZERO_COUNTS = MappingProxyType(dict.fromkeys(KIND_ORDER, 0))  # read-only, so the defaults share it safely
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: dict = field(default_factory=_zero_counts)  # Kind -> int
-    fp: dict = field(default_factory=_zero_counts)
-    fn: dict = field(default_factory=_zero_counts)
+class ConfusionCounts(NamedTuple):
+    tp: dict = _ZERO_COUNTS  # Kind -> int
+    fp: dict = _ZERO_COUNTS
+    fn: dict = _ZERO_COUNTS
 
 
-@dataclass(frozen=True)
-class MetricRow:
+class MetricRow(NamedTuple):
     precision: float  # percent
     recall: float
     f1: float
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     per_kind: dict  # Kind -> MetricRow
     macro: MetricRow
     micro: MetricRow
@@ -93,7 +89,7 @@ def compare(predicted: Iterable[SourceMention], gold) -> ConfusionCounts:
     compare uses up: it marks each key a prediction takes.
     """
     gold_map = gold if isinstance(gold, dict) else _keyed(gold)
-    counts = ConfusionCounts()
+    counts = ConfusionCounts(*(dict(_ZERO_COUNTS) for _ in ConfusionCounts._fields))
     for mention in predicted:
         key, kind = (mention.article_id, mention.sentence_index, mention.platform), mention.kind
         gold_kind = gold_map.get(key, False)  # None once a prediction has taken the key

@@ -67,10 +67,12 @@ def test_extract_loads_neither_analytics_nor_evaluator(tmp_path):
     assert "sourcescope.extractor" in modules  # the listing is of a run that extracted
 
 
-@pytest.mark.parametrize("command", ["ingest", "extract", "sample"])
-def test_serial_run_without_scoring_or_reports_loads_no_dataclasses_or_decimal(tmp_path, command):
-    # the per-record types are named tuples; only evaluate's and analyze's reports are dataclasses and round numbers
-    assert _loaded_of(loaded_modules(COMMANDS[command], tmp_path), ("dataclasses", "inspect", "decimal")) == []
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_command_loads_dataclasses_and_only_scoring_and_reports_load_decimal(tmp_path, command):
+    # every record is a named tuple or a plain class; only evaluate's and analyze's reports round numbers
+    rounds = command in ("evaluate", "analyze-keyword")
+    unused = ("dataclasses", "inspect", "ast", "dis") + (() if rounds else ("decimal",))
+    assert _loaded_of(loaded_modules(COMMANDS[command], tmp_path), unused) == []
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="--parallel is capped at the usable CPUs")

@@ -1,22 +1,27 @@
-"""The record types a run builds per article, pattern, quote and mention: immutable named tuples.
+"""The record types a run builds: immutable named tuples, and one plain class of counters.
 
-Their field order is part of the output contract (a mention's fields are its
+The per-article, pattern, quote and mention records come first. Their field
+order is part of the output contract (a mention's fields are its
 mentions.jsonl keys, in order), and pool workers started by `spawn` or
-`forkserver` receive them pickled.
+`forkserver` receive them pickled. The report records of evaluate and analyze
+follow; analyze's workers send their StatsAccumulator back pickled.
 """
 
 import json
 import pickle
+from collections import Counter
+from copy import deepcopy
 from datetime import date
 
 import pytest
 
-from sourcescope import cli
-from sourcescope.corpus import Article, MediaType
-from sourcescope.extractor import ExtractionResult, SourceMention, extract_mentions
+from sourcescope import analytics, cli, evaluator
+from sourcescope.analytics import StatsAccumulator
+from sourcescope.corpus import Article, MediaType, ingest
+from sourcescope.extractor import KIND_ORDER, ExtractionResult, Kind, SourceMention, extract_corpus, extract_mentions
 from sourcescope.patterns import CitationPattern, QuoteSpan, default_patterns, extract_quote_spans
 
-from conftest import GOLDEN_CORPUS
+from conftest import GOLDEN_CORPUS, GOLDEN_GOLD
 
 MENTION_KEYS = ("article_id", "sentence_index", "platform", "kind", "pattern_id", "span_start", "span_end")
 
@@ -70,3 +75,112 @@ def test_a_record_survives_a_pickle_round_trip(record_type):
     again = pickle.loads(pickle.dumps(record))
     assert again == record and type(again) is type(record)
 
+
+# --- the report records of evaluate and analyze ---
+
+
+def _golden_reports() -> tuple:
+    """The golden corpus's filled accumulator and its reports, as evaluate and analyze --labeler keyword build them."""
+    corpus = list(ingest(str(GOLDEN_CORPUS)))
+    results = extract_corpus(corpus, default_patterns())
+    counts = evaluator.compare((m for result in results for m in result.mentions), evaluator.load_gold(GOLDEN_GOLD))
+    acc = analytics.accumulate(zip(corpus, results), analytics.KeywordTopicLabeler())
+    reports = (evaluator.metrics(counts), analytics.media_report(acc), analytics.trend_report(acc),
+               analytics.ratio_report(acc), analytics.topic_report(acc, 3))
+    return acc, counts, reports
+
+
+ACC, COUNTS, (EVAL, MEDIA, TREND, RATIO, TOPICS) = _golden_reports()
+
+REPORT_RECORDS = {
+    evaluator.GoldAnnotation: evaluator.load_gold(GOLDEN_GOLD)[0],
+    evaluator.ConfusionCounts: COUNTS,
+    evaluator.MetricRow: EVAL.macro,
+    evaluator.EvalReport: EVAL,
+    analytics.PlatformStats: MEDIA.overall.platforms["twitter"],
+    analytics.MediaRow: MEDIA.overall,
+    analytics.MediaReport: MEDIA,
+    analytics.TrendRow: TREND.rows[0],
+    analytics.TrendReport: TREND,
+    analytics.RatioRow: RATIO.rows["mainstream"],
+    analytics.RatioReport: RATIO,
+    analytics.TopicRow: TOPICS.top_rows[0],
+    analytics.TopicKindRow: TOPICS.kind_rows[0],
+    analytics.TopicReport: TOPICS,
+}
+
+
+def test_each_report_record_is_of_its_type():
+    assert all(type(record) is record_type for record_type, record in REPORT_RECORDS.items())
+
+
+@pytest.mark.parametrize("record_type", REPORT_RECORDS, ids=lambda t: t.__name__)
+def test_a_report_record_refuses_attribute_assignment(record_type):
+    record = REPORT_RECORDS[record_type]
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], "changed")
+    with pytest.raises(AttributeError):
+        record.not_a_field = "added"
+
+
+@pytest.mark.parametrize("record_type", REPORT_RECORDS, ids=lambda t: t.__name__)
+def test_a_report_record_survives_a_pickle_round_trip(record_type):
+    record = REPORT_RECORDS[record_type]
+    again = pickle.loads(pickle.dumps(record))
+    assert again == record and type(again) is type(record)
+
+
+def test_a_filled_accumulator_survives_a_pickle_round_trip():
+    assert all(getattr(ACC, name) for name in StatsAccumulator.COUNTERS)
+    again = pickle.loads(pickle.dumps(ACC))
+    assert again == ACC and type(again) is StatsAccumulator
+    assert all(getattr(again, name) == getattr(ACC, name) for name in StatsAccumulator.COUNTERS)
+    assert again != StatsAccumulator()
+
+
+def test_two_fresh_accumulators_share_no_counter():
+    a, b = StatsAccumulator(), StatsAccumulator()
+    counters = [getattr(acc, name) for acc in (a, b) for name in StatsAccumulator.COUNTERS]
+    assert len({id(counter) for counter in counters}) == 10
+    assert all(type(counter) is Counter and not counter for counter in counters)
+    a.mentions[("mainstream", 2015, None, "twitter", "quotation")] += 1
+    assert not b.mentions and a != b
+
+
+def test_merge_leaves_both_operands_unchanged():
+    other = StatsAccumulator()
+    other.article_count[("user-generated", 2017, "Sports")] = 2
+    other.mentions[("user-generated", 2017, "Sports", "facebook", "paraphrase")] = 1
+    before = [deepcopy(vars(acc)) for acc in (ACC, other)]
+    merged = ACC.merge(other)
+    assert [vars(acc) for acc in (ACC, other)] == before
+    assert merged.article_count == ACC.article_count + other.article_count
+    assert all(getattr(merged, name) is not getattr(acc, name) for name in StatsAccumulator.COUNTERS
+               for acc in (ACC, other))
+
+
+def test_default_confusion_counts_refuse_mutation():
+    counts = evaluator.ConfusionCounts()
+    for counter in counts:
+        assert dict(counter) == {kind: 0 for kind in KIND_ORDER}
+        with pytest.raises(TypeError):
+            counter[Kind.QUOTATION] = 1
+    assert evaluator.metrics(counts) == evaluator.metrics(evaluator.compare([], []))
+
+
+def test_two_compare_results_share_no_dict():
+    first, second = evaluator.compare([], []), evaluator.compare([], [])
+    dicts = [*first, *second]
+    assert len({id(counts) for counts in dicts}) == 6
+    assert all(type(counts) is dict for counts in dicts)
+
+
+@pytest.mark.parametrize("record_type", REPORT_RECORDS, ids=lambda t: t.__name__)
+def test_plain_has_the_record_fields_as_keys(record_type):
+    record = REPORT_RECORDS[record_type]
+    assert tuple(analytics._plain(record)) == record._fields
+
+
+def test_plain_passes_a_plain_tuple_through_unchanged():
+    value = (1.005, "twitter", (2.5,))
+    assert analytics._plain(value) is value
