@@ -119,7 +119,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from sourcescope import evaluator
-    gold = evaluator._gold_map(args.gold)  # compare's own map, no GoldAnnotation list
+    gold = evaluator.load_gold(args.gold)
     with _extraction(args, extractor.extract_chunk) as (_, _, out, results):
         counts = evaluator.compare((m for result in results for m in result.mentions), gold)
         report = evaluator.metrics(counts)

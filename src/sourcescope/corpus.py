@@ -56,18 +56,6 @@ class Rejection(NamedTuple):
     reason: str
 
 
-class Corpus:
-    def __init__(self, articles: tuple, source_path: str = ""):
-        self.articles = articles  # of Article, in input-file order
-        self.source_path = source_path
-
-    def __len__(self) -> int:
-        return len(self.articles)
-
-    def __iter__(self) -> Iterator[Article]:
-        return iter(self.articles)
-
-
 def _parse_line(raw: bytes, line_number: int) -> Optional[tuple[Article, int]]:
     """Decode, check and build one line's article; returns (article, unknown-key count), or None for a blank line.
 
@@ -171,16 +159,6 @@ class CorpusReader:
             yield article
 
 
-def ingest(path: str, fail_fast: bool = True) -> Corpus:
-    """The accepted articles of a whole corpus file, held in memory; the commands stream it instead.
-
-    With fail_fast (the default) the first bad record raises IngestError; otherwise it is skipped.
-    """
-    with CorpusReader(path, fail_fast) as reader:
-        articles = tuple(record for record in reader if isinstance(record, Article))
-    return Corpus(articles=articles, source_path=str(path))
-
-
 def article_to_record(article: Article) -> dict:
     """The corpus record _parse_line reads back as `article`; an absent optional key is left out."""
     record = {key: getattr(article, key) for key in REQUIRED_KEYS + OPTIONAL_KEYS}
@@ -189,7 +167,7 @@ def article_to_record(article: Article) -> dict:
 
 
 def serialize(articles: Iterable[Article], path: str) -> None:
-    """Write articles, such as a Corpus, one JSON object per line, in the order given."""
+    """Write articles one JSON object per line, in the order given."""
     write_lines(path, (json.dumps(article_to_record(article), ensure_ascii=False) for article in articles))
 
 

@@ -11,13 +11,6 @@ from sourcescope.extractor import KIND_ORDER, Kind, SourceMention
 from sourcescope.patterns import Platform
 
 
-class GoldAnnotation(NamedTuple):
-    article_id: str
-    sentence_index: int
-    platform: Platform
-    kind: Kind
-
-
 _ZERO_COUNTS = MappingProxyType(dict.fromkeys(KIND_ORDER, 0))  # read-only, so the defaults share it safely
 
 
@@ -54,8 +47,12 @@ def _gold_row(obj) -> tuple:
     return (article_id, index, Platform(obj["platform"])), Kind(obj["kind"])
 
 
-def _gold_map(path) -> dict:
-    """load_gold(path) as the {(article, sentence, platform): kind} map, in file order."""
+def load_gold(path) -> dict:
+    """A gold file, one JSON object per line, as the {(article, sentence, platform): kind} map, in file order.
+
+    Blank lines are skipped. A line that is not UTF-8, not a gold object, or
+    repeats a key raises ValueError naming its line number.
+    """
     annotations: dict = {}
     with open(path, "rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
@@ -74,21 +71,14 @@ def _gold_map(path) -> dict:
     return annotations
 
 
-def load_gold(path) -> list[GoldAnnotation]:
-    """Read gold annotations, one JSON object per line; a bad line raises ValueError with its number."""
-    return [GoldAnnotation(*key, kind) for key, kind in _gold_map(path).items()]
-
-
-def compare(predicted: Iterable[SourceMention], gold) -> ConfusionCounts:
-    """A prediction is a TP iff gold holds the same (article, sentence, platform, kind).
+def compare(predicted: Iterable[SourceMention], gold_map: dict) -> ConfusionCounts:
+    """A prediction is a TP iff gold_map holds the same (article, sentence, platform) with the same kind.
 
     Unmatched predictions are FPs of their predicted kind; unmatched golds
-    are FNs of their gold kind. The predictions are counted as they come;
-    a key that occurs twice on either side raises ValueError. gold is
-    GoldAnnotations or, from evaluate, a map that _gold_map read, which
-    compare uses up: it marks each key a prediction takes.
+    are FNs of their gold kind. The predictions are counted as they come, and
+    one that repeats a key raises ValueError. gold_map is load_gold's map,
+    which compare uses up: it sets each key a prediction takes to None.
     """
-    gold_map = gold if isinstance(gold, dict) else _keyed(gold)
     counts = ConfusionCounts(*(dict(_ZERO_COUNTS) for _ in ConfusionCounts._fields))
     for mention in predicted:
         key, kind = (mention.article_id, mention.sentence_index, mention.platform), mention.kind
@@ -102,16 +92,6 @@ def compare(predicted: Iterable[SourceMention], gold) -> ConfusionCounts:
     for gold_kind in filter(None, gold_map.values()):  # the golds that no prediction took
         counts.fn[gold_kind] += 1
     return counts
-
-
-def _keyed(golds) -> dict:
-    keyed: dict = {}
-    for gold in golds:
-        key = (gold.article_id, gold.sentence_index, gold.platform)
-        if key in keyed:
-            raise ValueError(f"duplicate gold key {key}")
-        keyed[key] = gold.kind
-    return keyed
 
 
 def _f1(precision: float, recall: float) -> float:

@@ -173,13 +173,8 @@ def map_chunks(function, articles: Iterable[Article], context: tuple = (), worke
 
 
 def extract_chunk(articles, pattern_set: PatternSet) -> Iterator[ExtractionResult]:
-    """The map_chunks chunk function of evaluate and extract_corpus: each article's result, without sentence spans."""
+    """The map_chunks chunk function of evaluate: each article's result, without sentence spans."""
     return (extract_mentions(article, pattern_set) for article in articles)
-
-
-def extract_corpus(articles: Iterable[Article], pattern_set: PatternSet, workers: int = 1) -> list[ExtractionResult]:
-    """One result per article, in input order regardless of parallelism."""
-    return list(map_chunks(extract_chunk, articles, (pattern_set,), workers))
 
 
 def mention_to_record(mention: SourceMention) -> dict:

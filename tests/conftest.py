@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from sourcescope.corpus import Article, Corpus, MediaType
+from sourcescope.corpus import Article, CorpusReader, MediaType
+from sourcescope.extractor import extract_chunk, map_chunks
 from sourcescope.patterns import default_patterns
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -27,6 +28,17 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def pattern_set():
     return default_patterns()
+
+
+def read_articles(path, fail_fast: bool = True) -> tuple:
+    """The accepted articles of a corpus file, in file order."""
+    with CorpusReader(path, fail_fast) as reader:
+        return tuple(record for record in reader if isinstance(record, Article))
+
+
+def extract_all(articles, pattern_set, workers: int = 1) -> list:
+    """Each article's ExtractionResult, in input order, as evaluate extracts them."""
+    return list(map_chunks(extract_chunk, articles, (pattern_set,), workers))
 
 
 _FILLER = (
@@ -64,7 +76,7 @@ def random_body(rng: random.Random, n_sentences=None, special_rate=0.25) -> str:
     return sep.join(parts)
 
 
-def random_corpus(rng: random.Random, n_articles: int) -> Corpus:
+def random_corpus(rng: random.Random, n_articles: int) -> tuple:
     articles = []
     for i in range(n_articles):
         articles.append(
@@ -78,7 +90,7 @@ def random_corpus(rng: random.Random, n_articles: int) -> Corpus:
                 topic=rng.choice([None, "Politics", "Sports", "Health"]),
             )
         )
-    return Corpus(articles=tuple(articles), source_path="random")
+    return tuple(articles)
 
 
 _FUZZ_RECORD = {

@@ -14,7 +14,7 @@ from datetime import date
 import pytest
 
 import conftest
-from conftest import GOLDEN_CORPUS, GOLDEN_GOLD, random_body
+from conftest import GOLDEN_CORPUS, GOLDEN_GOLD, extract_all, random_body, read_articles
 from test_analytics import (
     paper_media_accumulator,
     paper_topic_accumulator,
@@ -30,16 +30,15 @@ from sourcescope.analytics import (
     trend_report,
     write_trend_tsv,
 )
-from sourcescope.corpus import Article, Corpus, MediaType, ingest
+from sourcescope.corpus import Article, MediaType
 from sourcescope.evaluator import (
-    GoldAnnotation,
     KIND_ORDER,
     compare,
     f1_transposition_note,
     load_gold,
     metrics,
 )
-from sourcescope.extractor import Kind, extract_corpus, write_mentions
+from sourcescope.extractor import Kind, write_mentions
 from sourcescope.patterns import Platform, contains_quote_signs, default_patterns
 from sourcescope.segmenter import segment
 
@@ -64,11 +63,11 @@ def _reconstruction_counts():
     pred_sizes = {Kind.QUOTATION: 49, Kind.PARAPHRASE: 53, Kind.EMBEDDING: 270}
     correct = {Kind.QUOTATION: 44, Kind.PARAPHRASE: 50, Kind.EMBEDDING: 270}
 
-    golds, predicted = [], []
+    golds, predicted = {}, []
     for kind in KIND_ORDER:
         tag = kind.value[0]
         for i in range(gold_sizes[kind]):
-            golds.append(GoldAnnotation(f"{tag}-gold-{i}", 0, Platform.TWITTER, kind))
+            golds[(f"{tag}-gold-{i}", 0, Platform.TWITTER)] = kind
         for i in range(correct[kind]):
             predicted.append(_pred(f"{tag}-gold-{i}", kind))
         for i in range(pred_sizes[kind] - correct[kind]):
@@ -154,18 +153,15 @@ def test_criterion_3_trend_reproduction(tmp_path):
 
 def test_criterion_4_golden_suite(pattern_set):
     with criterion(4, "hand-annotated golden corpus classified at 100% agreement"):
-        corpus = ingest(GOLDEN_CORPUS)
+        corpus = read_articles(GOLDEN_CORPUS)
         assert len(corpus) >= 30
-        results = extract_corpus(corpus, pattern_set)
+        results = extract_all(corpus, pattern_set)
         predicted = {
             (m.article_id, m.sentence_index, m.platform, m.kind)
             for r in results
             for m in r.mentions
         }
-        gold = {
-            (g.article_id, g.sentence_index, g.platform, g.kind)
-            for g in load_gold(GOLDEN_GOLD)
-        }
+        gold = {(*key, kind) for key, kind in load_gold(GOLDEN_GOLD).items()}
         assert predicted == gold
         assert {g[3] for g in gold} == set(Kind)
         assert {g[2] for g in gold} == set(Platform)
@@ -193,7 +189,7 @@ def test_criterion_5_property_suites(pattern_set, tmp_path):
 
         # classifier invariants on a random corpus
         corpus = conftest.random_corpus(rng, 60)
-        results = extract_corpus(corpus, pattern_set)
+        results = extract_all(corpus, pattern_set)
         index = {a.id: a for a in corpus}
         for result in results:
             body = index[result.article_id].body
@@ -229,13 +225,13 @@ def test_criterion_5_property_suites(pattern_set, tmp_path):
         # 1 vs 8 workers produce byte-identical mention files
         one = tmp_path / "one.jsonl"
         eight = tmp_path / "eight.jsonl"
-        write_mentions(extract_corpus(corpus, pattern_set, workers=1), one)
-        write_mentions(extract_corpus(corpus, pattern_set, workers=8), eight)
+        write_mentions(extract_all(corpus, pattern_set, workers=1), one)
+        write_mentions(extract_all(corpus, pattern_set, workers=8), eight)
         assert one.read_bytes() == eight.read_bytes()
 
         # oracle equivalence against the brute-force reference (<= 50 articles)
         small = conftest.random_corpus(random.Random(77), 50)
-        for result in extract_corpus(small, pattern_set):
+        for result in extract_all(small, pattern_set):
             assert result.mentions == naive_extract(index_of(small, result.article_id), pattern_set)
 
 
@@ -269,7 +265,7 @@ def _throughput_corpus(n_articles):
         )
         for i in range(n_articles)
     )
-    return Corpus(articles=articles, source_path="synthetic")
+    return articles
 
 
 def test_criterion_6_throughput(pattern_set):
@@ -277,12 +273,12 @@ def test_criterion_6_throughput(pattern_set):
         corpus = _throughput_corpus(59356)
 
         start = time.perf_counter()
-        serial = extract_corpus(corpus, pattern_set, workers=1)
+        serial = extract_all(corpus, pattern_set, workers=1)
         elapsed = time.perf_counter() - start
         assert elapsed <= 60.0, f"single-threaded extract took {elapsed:.1f}s"
 
         start = time.perf_counter()
-        parallel = extract_corpus(corpus, pattern_set, workers=4)
+        parallel = extract_all(corpus, pattern_set, workers=4)
         parallel_elapsed = time.perf_counter() - start
         assert parallel == serial
         if (os.cpu_count() or 1) >= 4:

@@ -10,7 +10,7 @@ from functools import reduce
 
 import pytest
 
-from conftest import random_corpus
+from conftest import extract_all, random_corpus
 
 from sourcescope import analytics
 from sourcescope._fmt import fmt2, round2
@@ -41,7 +41,7 @@ from sourcescope.analytics import (
     write_trend_tsv,
 )
 from sourcescope.corpus import Article, IngestError, MediaType
-from sourcescope.extractor import ExtractionResult, Kind, SourceMention, extract_corpus, map_chunks
+from sourcescope.extractor import ExtractionResult, Kind, SourceMention, map_chunks
 from sourcescope.patterns import Platform, default_patterns, fold_case
 
 M, U = MediaType.MAINSTREAM.value, MediaType.UNRELIABLE.value
@@ -137,7 +137,7 @@ class TestReductionInTheWorkers:
         corpus = self.labelable_corpus(n)
         chunks = map_chunks(accumulate_chunk, iter(corpus), (pattern_set, labeler), workers)
         merged = reduce(StatsAccumulator.merge, chunks, StatsAccumulator())
-        expected = accumulate(zip(corpus, extract_corpus(corpus, pattern_set)), labeler)
+        expected = accumulate(zip(corpus, extract_all(corpus, pattern_set)), labeler)
         assert merged == expected
         assert sum(expected.article_count.values()) == n
         if n >= 127:  # the corpus exercises the labeler and the mention counts
@@ -339,7 +339,7 @@ class TestTopicReport:
 class TestPercentagesRecomputable:
     def test_every_percentage_matches_its_counters(self, pattern_set):
         corpus = random_corpus(random.Random(4), 40)
-        results = extract_corpus(corpus, pattern_set)
+        results = extract_all(corpus, pattern_set)
         acc = accumulate(zip(corpus, results))
         report = media_report(acc)
         for row in report.rows.values():
@@ -349,7 +349,7 @@ class TestPercentagesRecomputable:
                 )
         # brute-force article-with-mention count
         by_id = {r.article_id: r for r in results}
-        expected = sum(1 for a in corpus.articles if by_id[a.id].mentions)
+        expected = sum(1 for a in corpus if by_id[a.id].mentions)
         assert report.overall.articles_with_mention == expected
 
 
@@ -509,7 +509,7 @@ class TestKeywordLabeler:
     def test_matches_oracle_on_corpus_texts(self):
         corpus = random_corpus(random.Random(8), 200)
         labeler = KeywordTopicLabeler()
-        for art in corpus.articles:
+        for art in corpus:
             text = art.headline + "\n" + art.body
             assert labeler.label(text) == oracle_label(text)
 

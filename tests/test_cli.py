@@ -21,10 +21,10 @@ import pytest
 
 from sourcescope import analytics, cli, corpus, evaluator, extractor, patterns, segmenter
 from sourcescope._fmt import escape_cell
-from sourcescope.corpus import ingest, serialize
+from sourcescope.corpus import serialize
 from sourcescope.segmenter import segment
 
-from conftest import GOLDEN_CORPUS, GOLDEN_GOLD, fuzz_corpus_lines, random_corpus
+from conftest import GOLDEN_CORPUS, GOLDEN_GOLD, fuzz_corpus_lines, random_corpus, read_articles
 
 
 def run(args, capsys):
@@ -280,7 +280,7 @@ class TestExtract:
             ["extract", "--corpus", str(GOLDEN_CORPUS), "--out", str(tmp_path / "out")], capsys
         )
         assert code == cli.EXIT_OK
-        articles = len(ingest(GOLDEN_CORPUS))
+        articles = len(read_articles(GOLDEN_CORPUS))
         assert calls == {"segment": articles, "extract_quote_spans": articles}
 
     def test_sentences_tsv_has_three_columns(self, tmp_path, capsys):
@@ -325,7 +325,7 @@ class TestExtract:
         bodies = [f"She tweeted{c}that the plan was ready. The mayor{c}{c}wrote on Facebook.{c}" for c in odd]
         bodies += [c + "".join(odd) + " Done. " + "x".join(odd) for c in odd]
         write_jsonl(tmp_path / "corpus.jsonl", [dict(GOOD_RECORD, id=f"a{i}", body=b) for i, b in enumerate(bodies)])
-        articles = ingest(tmp_path / "corpus.jsonl").articles
+        articles = read_articles(tmp_path / "corpus.jsonl")
 
         def rows(chunk):
             outputs = list(chunk(iter(articles), pattern_set))
@@ -956,7 +956,7 @@ class TestSample:
         )
         assert code == cli.EXIT_OK
         assert "6 articles sampled" in text
-        sampled = ingest(out / "sample.jsonl")
+        sampled = read_articles(out / "sample.jsonl")
         assert len(sampled) == 6
 
     def test_repeated_keyword_sample_reingests_whole(self, tmp_path, capsys):
@@ -1021,9 +1021,9 @@ class TestSample:
             capsys,
         )
         assert code == cli.EXIT_OK
-        sampled = ingest(out / "sample.jsonl")
+        sampled = read_articles(out / "sample.jsonl")
         assert 0 < len(sampled) < 5000
-        assert all("twitter" in a.body.lower() for a in sampled.articles)
+        assert all("twitter" in a.body.lower() for a in sampled)
 
     @pytest.mark.parametrize(
         "second_pass, expected_id",

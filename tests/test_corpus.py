@@ -7,13 +7,11 @@ import pytest
 from sourcescope.corpus import (
     OPTIONAL_KEYS,
     Article,
-    Corpus,
     CorpusReader,
     IngestError,
     MediaType,
     Rejection,
     chosen_articles,
-    ingest,
     serialize,
     stratified_sample,
 )
@@ -21,7 +19,7 @@ from sourcescope.analytics import accumulate
 from sourcescope.extractor import ExtractionResult, extract_mentions
 from sourcescope.patterns import default_patterns, fold_case
 
-from conftest import fuzz_corpus_lines, random_corpus
+from conftest import fuzz_corpus_lines, random_corpus, read_articles
 
 VALID = {
     "id": "a1",
@@ -53,7 +51,7 @@ def rejections(path):
 def test_ingest_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    corpus = ingest(path)
+    corpus = read_articles(path)
     assert len(corpus) == 0
     assert read_records(path)[1].accepted == 0
 
@@ -62,7 +60,7 @@ def test_ingest_three_valid_lines_in_order(tmp_path):
     records = [dict(VALID, id=f"a{i}") for i in range(3)]
     path = tmp_path / "c.jsonl"
     write_lines(path, records)
-    corpus = ingest(path)
+    corpus = read_articles(path)
     assert [a.id for a in corpus] == ["a0", "a1", "a2"]
     assert read_records(path)[1].accepted == 3
 
@@ -71,21 +69,21 @@ def test_ingest_rejects_unknown_media_type(tmp_path):
     path = tmp_path / "c.jsonl"
     write_lines(path, [dict(VALID, media_type="satire")])
     with pytest.raises(IngestError, match="satire"):
-        ingest(path)
+        read_articles(path)
 
 
 def test_ingest_rejects_duplicate_id(tmp_path):
     path = tmp_path / "c.jsonl"
     write_lines(path, [VALID, dict(VALID)])
     with pytest.raises(IngestError, match="a1"):
-        ingest(path)
+        read_articles(path)
 
 
 def test_ingest_malformed_line_carries_line_number(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(VALID) + "\n{not json\n")
     with pytest.raises(IngestError) as exc:
-        ingest(path)
+        read_articles(path)
     assert exc.value.line_number == 2
 
 
@@ -93,7 +91,7 @@ def test_ingest_skip_with_report(tmp_path):
     path = tmp_path / "c.jsonl"
     records = [VALID, dict(VALID, id="a2", media_type="satire"), dict(VALID, id="a3")]
     write_lines(path, records)
-    corpus = ingest(path, fail_fast=False)
+    corpus = read_articles(path, fail_fast=False)
     assert [a.id for a in corpus] == ["a1", "a3"]
     rejected = rejections(path)
     assert len(rejected) == 1
@@ -124,9 +122,7 @@ def test_fuzzed_lines_each_accepted_or_rejected_once_in_order(tmp_path, seed):
     assert got == want
     assert all(r.reason for r in records if isinstance(r, Rejection))
 
-    corpus = ingest(path, fail_fast=False)
-    assert corpus.articles == tuple(r for r in records if isinstance(r, Article))
-    assert reader.accepted == len(corpus)
+    assert reader.accepted == sum(isinstance(r, Article) for r in records)
 
     # with fail_fast, the articles before the first bad line come out, then it raises
     first = next(i for i, (fate, _) in enumerate(want) if fate == "reject")
@@ -138,9 +134,6 @@ def test_fuzzed_lines_each_accepted_or_rejected_once_in_order(tmp_path, seed):
             read.extend(reader)
     assert exc.value.line_number == first_bad
     assert [a.id for a in read] == before
-    with pytest.raises(IngestError) as exc:
-        ingest(path)
-    assert exc.value.line_number == first_bad
 
 
 def test_reader_opens_the_file_when_constructed(tmp_path):
@@ -156,13 +149,13 @@ def test_lone_surrogate_is_rejected_naming_its_field(tmp_path, key):
     assert rejections(path) == [(1, f"{key} holds a lone surrogate escape")]
     # an escaped surrogate pair is one character, and is accepted
     path.write_text(line.replace(f'"{key}": "', f'"{key}": "\\ud83d\\ude00', 1) + "\n", encoding="utf-8")
-    assert getattr(ingest(path).articles[0], key).startswith("\U0001f600")
+    assert getattr(read_articles(path)[0], key).startswith("\U0001f600")
 
 
 def test_over_long_number_is_rejected_with_its_line(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(VALID) + "\n" + json.dumps(dict(VALID, id="a2"))[:-1] + ', "n": 1' + "0" * 4300 + "}\n")
-    corpus = ingest(path, fail_fast=False)
+    corpus = read_articles(path, fail_fast=False)
     assert [a.id for a in corpus] == ["a1"]
     assert rejections(path) == [(2, "malformed record: number of more than 4300 digits")]
 
@@ -174,11 +167,11 @@ def test_roundtrip_identity(tmp_path):
     ]
     path = tmp_path / "c.jsonl"
     write_lines(path, records)
-    corpus = ingest(path)
+    corpus = read_articles(path)
     out = tmp_path / "out.jsonl"
     serialize(corpus, out)
-    again = ingest(out)
-    assert again.articles == corpus.articles
+    again = read_articles(out)
+    assert again == corpus
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -257,15 +250,15 @@ def keyword_corpus(counts):
     for _ in range(20):  # chaff with no keywords
         articles.append(make_article(i, "nothing of interest here"))
         i += 1
-    return Corpus(articles=tuple(articles), source_path="mem")
+    return tuple(articles)
 
 
 def sample_of(corpus, keywords, n, seed):
     """The articles stratified_sample chooses from an in-memory corpus, checking each chosen id."""
     chosen = stratified_sample(corpus, keywords, n, seed)
     assert [pos for pos, _ in chosen] == sorted({pos for pos, _ in chosen})  # corpus order, no repeats
-    assert all(corpus.articles[pos].id == art_id for pos, art_id in chosen)
-    return [corpus.articles[pos] for pos, _ in chosen]
+    assert all(corpus[pos].id == art_id for pos, art_id in chosen)
+    return [corpus[pos] for pos, _ in chosen]
 
 
 def test_sample_no_hits_returns_empty():
@@ -306,8 +299,7 @@ def test_sample_size_capped_and_keyword_property():
 
 
 def test_sample_multi_stratum_article_goes_to_first_keyword():
-    articles = (make_article(0, "about twitter and facebook both"),)
-    corpus = Corpus(articles=articles, source_path="mem")
+    corpus = (make_article(0, "about twitter and facebook both"),)
     sample = sample_of(corpus, ["facebook", "twitter"], 2, seed=0)
     assert len(sample) == 1
 
@@ -327,7 +319,7 @@ def test_sample_folds_case_as_the_extractor_does():
     body = "She took to Twıtter to say so."  # dotless ı
     article = make_article(0, body)
     assert extract_mentions(article, default_patterns()).mentions[0].pattern_id == "tw-049"
-    corpus = Corpus(articles=(article, make_article(1, "nothing of interest here")), source_path="mem")
+    corpus = (article, make_article(1, "nothing of interest here"))
     assert sample_of(corpus, ["twitter"], 1, seed=0) == [article]
     assert sample_of(corpus, ["TWİTTER"], 1, seed=0) == [article]
     # keywords equal once folded are one stratum
@@ -373,7 +365,7 @@ def test_sample_of_one_pass_draws_what_the_article_holding_sampler_drew(seed):
     passes = []
     chosen = stratified_sample((passes.append(a) or a for a in corpus), keywords, n, seed)
     assert len(passes) == len(corpus)  # one pass over a one-pass iterable
-    assert [corpus.articles[pos] for pos, _ in chosen] == reference_sample(corpus, keywords, n, seed)
+    assert [corpus[pos] for pos, _ in chosen] == reference_sample(corpus, keywords, n, seed)
 
 
 def test_chosen_articles_finds_the_chosen_on_a_second_pass():
@@ -381,7 +373,7 @@ def test_chosen_articles_finds_the_chosen_on_a_second_pass():
     chosen = stratified_sample(corpus, ["twitter", "facebook"], 10, seed=2)
     read = []
     found = list(chosen_articles((read.append(a) or a for a in corpus), chosen))
-    assert found == [corpus.articles[pos] for pos, _ in chosen]
+    assert found == [corpus[pos] for pos, _ in chosen]
     assert len(read) == chosen[-1][0] + 1  # no further than the last chosen article
     assert list(chosen_articles(corpus, [])) == []
 

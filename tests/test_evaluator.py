@@ -1,16 +1,12 @@
 import itertools
-import json
-import random
 
 import pytest
 
 from sourcescope.evaluator import (
     ConfusionCounts,
     EvalReport,
-    GoldAnnotation,
     KIND_ORDER,
     MetricRow,
-    _gold_map,
     compare,
     f1_transposition_note,
     load_gold,
@@ -25,8 +21,9 @@ def mention(i, kind, platform=Platform.TWITTER, sent=0):
     return SourceMention(f"a{i}", sent, platform, kind, None if kind == Kind.EMBEDDING else "p", 0, 1)
 
 
-def gold(i, kind, platform=Platform.TWITTER, sent=0):
-    return GoldAnnotation(f"a{i}", sent, platform, kind)
+def gold(*entries):
+    """The gold map of (i, kind) entries, each on sentence 0 of article a<i> on Twitter."""
+    return {(f"a{i}", 0, Platform.TWITTER): kind for i, kind in entries}
 
 
 def counts_from(tp, fp, fn):
@@ -37,16 +34,16 @@ def counts_from(tp, fp, fn):
 
 class TestCompare:
     def test_both_empty(self):
-        counts = compare([], [])
+        counts = compare([], {})
         assert all(v == 0 for d in (counts.tp, counts.fp, counts.fn) for v in d.values())
 
     def test_exact_match(self):
-        counts = compare([mention(1, Kind.QUOTATION)], [gold(1, Kind.QUOTATION)])
+        counts = compare([mention(1, Kind.QUOTATION)], gold((1, Kind.QUOTATION)))
         assert counts.tp[Kind.QUOTATION] == 1
         assert sum(counts.fp.values()) == 0 and sum(counts.fn.values()) == 0
 
     def test_kind_mismatch_is_fp_and_fn(self):
-        counts = compare([mention(1, Kind.QUOTATION)], [gold(1, Kind.PARAPHRASE)])
+        counts = compare([mention(1, Kind.QUOTATION)], gold((1, Kind.PARAPHRASE)))
         assert counts.fp[Kind.QUOTATION] == 1
         assert counts.fn[Kind.PARAPHRASE] == 1
         assert sum(counts.tp.values()) == 0
@@ -54,7 +51,7 @@ class TestCompare:
     def test_full_kind_grid(self):
         # brute force over predicted-kind x gold-kind confirms the accounting
         for pk, gk in itertools.product(KIND_ORDER, KIND_ORDER):
-            counts = compare([mention(1, pk)], [gold(1, gk)])
+            counts = compare([mention(1, pk)], gold((1, gk)))
             if pk == gk:
                 assert counts.tp[pk] == 1
                 assert sum(counts.fp.values()) + sum(counts.fn.values()) == 0
@@ -63,40 +60,21 @@ class TestCompare:
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            compare([mention(1, Kind.QUOTATION), mention(1, Kind.PARAPHRASE)], [])
-        with pytest.raises(ValueError, match="duplicate"):
-            compare([], [gold(1, Kind.QUOTATION), gold(1, Kind.PARAPHRASE)])
+            compare([mention(1, Kind.QUOTATION), mention(1, Kind.PARAPHRASE)], {})
 
     @pytest.mark.parametrize("taken", ["in-gold", "not-in-gold"])
     def test_duplicate_prediction_in_a_stream_rejected(self, taken):
-        golds = [gold(1, Kind.QUOTATION)] if taken == "in-gold" else []
-        for gold_side in (golds, {(g.article_id, g.sentence_index, g.platform): g.kind for g in golds}):
-            with pytest.raises(ValueError, match="duplicate prediction key"):
-                compare(iter([mention(1, Kind.QUOTATION), mention(2, Kind.QUOTATION), mention(1, Kind.EMBEDDING)]),
-                        gold_side)
-
-    def test_keyed_gold_file_scores_as_its_annotations(self, tmp_path):
-        rng = random.Random(25)
-        keys = {(f"a{rng.randrange(40)}", rng.randrange(4), rng.choice(list(Platform))) for _ in range(300)}
-        golds = [GoldAnnotation(*key, rng.choice(KIND_ORDER)) for key in sorted(keys)[::2]]
-        predicted = [SourceMention(*key, rng.choice(KIND_ORDER), None, 0, 1) for key in sorted(keys)[1::3]]
-        path = tmp_path / "gold.jsonl"
-        path.write_text("".join(json.dumps({"article_id": g.article_id, "sentence_index": g.sentence_index,
-                                            "platform": g.platform.value, "kind": g.kind.value}) + "\n"
-                                for g in golds), encoding="utf-8")
-        keyed = _gold_map(path)
-        assert load_gold(path) == golds
-        assert keyed == {(g.article_id, g.sentence_index, g.platform): g.kind for g in golds}
-        expected = compare(predicted, golds)
-        assert min(sum(c.values()) for c in (expected.tp, expected.fp, expected.fn)) > 10
-        assert compare(iter(predicted), keyed) == expected
+        golds = gold((1, Kind.QUOTATION)) if taken == "in-gold" else {}
+        with pytest.raises(ValueError, match="duplicate prediction key"):
+            compare(iter([mention(1, Kind.QUOTATION), mention(2, Kind.QUOTATION), mention(1, Kind.EMBEDDING)]), golds)
 
     def test_exact_accounting_property(self):
         predicted = [mention(i, KIND_ORDER[i % 3]) for i in range(30)]
-        golds = [gold(i + 15, KIND_ORDER[i % 3]) for i in range(30)]
+        golds = gold(*((i + 15, KIND_ORDER[i % 3]) for i in range(30)))
+        n_golds = len(golds)  # before compare uses the map up
         counts = compare(predicted, golds)
         assert sum(counts.tp.values()) + sum(counts.fp.values()) == len(predicted)
-        assert sum(counts.tp.values()) + sum(counts.fn.values()) == len(golds)
+        assert sum(counts.tp.values()) + sum(counts.fn.values()) == n_golds
 
 
 class TestMetrics:
@@ -208,7 +186,7 @@ def test_load_gold_skips_blank_lines(tmp_path):
     path.write_text(
         '\n{"article_id": "a1", "sentence_index": 2, "platform": "twitter", "kind": "embedding"}\n \t\n\n'
     )
-    assert load_gold(path) == [GoldAnnotation("a1", 2, Platform.TWITTER, Kind.EMBEDDING)]
+    assert load_gold(path) == {("a1", 2, Platform.TWITTER): Kind.EMBEDDING}
 
 
 def test_load_gold_roundtrip(tmp_path):
@@ -217,7 +195,7 @@ def test_load_gold_roundtrip(tmp_path):
         '{"article_id": "a1", "sentence_index": 2, "platform": "twitter", "kind": "embedding"}\n'
     )
     golds = load_gold(path)
-    assert golds == [GoldAnnotation("a1", 2, Platform.TWITTER, Kind.EMBEDDING)]
+    assert golds == {("a1", 2, Platform.TWITTER): Kind.EMBEDDING}
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from datetime import date
 
 import pytest
 
-from conftest import random_body, random_corpus, random_sentence
+from conftest import extract_all, random_body, random_corpus, random_sentence
 
 from sourcescope import extractor
 from sourcescope.corpus import Article, MediaType
@@ -17,7 +17,6 @@ from sourcescope.extractor import (
     SourceMention,
     classify_sentence,
     extract_chunk,
-    extract_corpus,
     extract_mentions,
     map_chunks,
     mention_to_record,
@@ -500,20 +499,18 @@ class TestWithoutSentences:
 class TestExtractCorpus:
     def test_empty_corpus(self, pattern_set):
         corpus = random_corpus(random.Random(0), 0)
-        assert extract_corpus(corpus, pattern_set) == []
+        assert extract_all(corpus, pattern_set) == []
 
     def test_corpus_order_preserved_in_parallel(self, pattern_set):
         corpus = random_corpus(random.Random(21), 24)
-        serial = extract_corpus(corpus, pattern_set, workers=1)
-        parallel = extract_corpus(corpus, pattern_set, workers=3)
-        assert [r.article_id for r in serial] == [a.id for a in corpus.articles]
+        serial = extract_all(corpus, pattern_set, workers=1)
+        parallel = extract_all(corpus, pattern_set, workers=3)
+        assert [r.article_id for r in serial] == [a.id for a in corpus]
         assert serial == parallel
 
     def test_no_match_corpus(self, pattern_set):
-        corpus = random_corpus(random.Random(1), 0)
-        articles = tuple(article("Nothing relevant here at all.", i) for i in range(4))
-        corpus = type(corpus)(articles=articles, source_path="mem")
-        results = extract_corpus(corpus, pattern_set)
+        corpus = tuple(article("Nothing relevant here at all.", i) for i in range(4))
+        results = extract_all(corpus, pattern_set)
         assert all(r.mentions == () for r in results)
 
     def test_determinism_byte_for_byte(self, pattern_set, tmp_path):
@@ -521,8 +518,8 @@ class TestExtractCorpus:
 
         corpus = random_corpus(random.Random(33), 30)
         p1, p2 = tmp_path / "m1.jsonl", tmp_path / "m2.jsonl"
-        write_mentions(extract_corpus(corpus, pattern_set), p1)
-        write_mentions(extract_corpus(corpus, pattern_set), p2)
+        write_mentions(extract_all(corpus, pattern_set), p1)
+        write_mentions(extract_all(corpus, pattern_set), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -541,7 +538,7 @@ class TestMapChunksIsLazy:
         for result in map_chunks(extract_chunk, self.counting(corpus, pulled), (pattern_set,)):
             results.append(result)
             assert len(pulled) == len(results)
-        assert results == extract_corpus(corpus, pattern_set)
+        assert results == extract_all(corpus, pattern_set)
 
     def test_workers_read_at_most_the_window_ahead(self, pattern_set, monkeypatch):
         monkeypatch.setattr(extractor, "CHUNK_ARTICLES", 3)
@@ -554,7 +551,7 @@ class TestMapChunksIsLazy:
             ahead.append(len(pulled) - len(results))
         assert max(ahead) < window
         assert max(ahead) > 1  # the workers did run ahead
-        assert results == extract_corpus(corpus, pattern_set)
+        assert results == extract_all(corpus, pattern_set)
 
     def test_closing_after_the_first_result_stops_every_worker(self, pattern_set, monkeypatch):
         monkeypatch.setattr(extractor, "CHUNK_ARTICLES", 3)
@@ -563,7 +560,7 @@ class TestMapChunksIsLazy:
         corpus = random_corpus(random.Random(10), 200)
         pulled = []
         results = map_chunks(extract_chunk, self.counting(corpus, pulled), (pattern_set,), workers=2)
-        assert next(results) == extract_mentions(corpus.articles[0], pattern_set)
+        assert next(results) == extract_mentions(corpus[0], pattern_set)
         workers = set(multiprocessing.active_children()) - before
         assert workers
         results.close()
@@ -578,7 +575,7 @@ class TestProperties:
         rng = random.Random(50)
         for _ in range(20):
             corpus = random_corpus(rng, 10)
-            for result in extract_corpus(corpus, pattern_set):
+            for result in extract_all(corpus, pattern_set):
                 for m in result.mentions:
                     assert not (m.platform == Platform.FACEBOOK and m.kind == Kind.EMBEDDING)
                     if m.kind == Kind.EMBEDDING:
@@ -591,7 +588,7 @@ class TestProperties:
         for _ in range(20):
             corpus = random_corpus(rng, 10)
             index = {a.id: a for a in corpus}
-            for result in extract_corpus(corpus, pattern_set):
+            for result in extract_all(corpus, pattern_set):
                 body = index[result.article_id].body
                 spans = segment(body)
                 for m in result.mentions:
@@ -604,7 +601,7 @@ class TestProperties:
         rng = random.Random(52)
         for _ in range(20):
             corpus = random_corpus(rng, 10)
-            for result in extract_corpus(corpus, pattern_set):
+            for result in extract_all(corpus, pattern_set):
                 seen = {}
                 for m in result.mentions:
                     key = (m.sentence_index, m.platform)
@@ -614,7 +611,7 @@ class TestProperties:
     def test_oracle_equivalence(self, pattern_set):
         rng = random.Random(53)
         corpus = random_corpus(rng, 50)
-        results = extract_corpus(corpus, pattern_set)
+        results = extract_all(corpus, pattern_set)
         index = {a.id: a for a in corpus}
         for result in results:
             assert result.mentions == naive_extract(index[result.article_id], pattern_set)

@@ -1,14 +1,16 @@
-"""Each command loads only the modules it runs.
+"""Each command loads only the modules it runs, and the package defines only what its own code uses.
 
 Every case runs one command through `cli.main` in a fresh interpreter (`-S`,
 so that no site hook loads modules of its own) and lists `sys.modules` after
 it returns; the last imports the package root alone, which loads none of them.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -91,3 +93,26 @@ def test_package_root_loads_no_module_of_its_own(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert _loaded_of(set(json.loads(proc.stdout)), ("sourcescope",)) == ["sourcescope"]
+
+
+def _named(node) -> Counter:
+    """The names the code under node refers to: as a Name, an Attribute or an imported name (strings do not count)."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute)
+        else sub.name.rpartition(".")[2]
+        for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def unnamed_definitions(package: Path) -> list:
+    """The public top-level functions and classes of package's modules that no code outside their own body names."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    everywhere = sum((_named(tree) for tree in trees.values()), Counter())
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and everywhere[node.name] == _named(node)[node.name]]
+
+
+def test_every_public_function_and_class_is_used_by_the_package():
+    # a library surface that only tests call is a second path to keep in step with the commands' own
+    assert unnamed_definitions(SRC / "sourcescope") == []

@@ -6,11 +6,10 @@ from collections import Counter
 
 import pytest
 
-from conftest import GOLDEN_CORPUS, random_body, random_corpus
+from conftest import GOLDEN_CORPUS, extract_all, random_body, random_corpus, read_articles
 
 from sourcescope import patterns
-from sourcescope.corpus import ingest
-from sourcescope.extractor import classify_sentence, extract_corpus, extract_mentions
+from sourcescope.extractor import classify_sentence, extract_mentions
 from sourcescope.patterns import (
     _ATTRIBUTION_RE,
     _PAIR_TABLE,
@@ -236,9 +235,9 @@ class TestCompileAtFirstRun:
     def test_extraction_compiles_each_phrase_once_and_only_past_its_prescreen(self, monkeypatch):
         compiled = self.spy(monkeypatch)
         ps = default_patterns.__wrapped__()
-        corpus = ingest(GOLDEN_CORPUS)
+        corpus = read_articles(GOLDEN_CORPUS)
         for _ in range(2):  # the second pass compiles nothing
-            results = extract_corpus(corpus, ps)
+            results = extract_all(corpus, ps)
         assert len(compiled) == len(set(compiled))
         passed = set()  # the phrases whose prescreen some sentence of the corpus passes
         for article in corpus:

@@ -17,11 +17,11 @@ import pytest
 
 from sourcescope import analytics, cli, evaluator
 from sourcescope.analytics import StatsAccumulator
-from sourcescope.corpus import Article, MediaType, ingest
-from sourcescope.extractor import KIND_ORDER, ExtractionResult, Kind, SourceMention, extract_corpus, extract_mentions
+from sourcescope.corpus import Article, MediaType
+from sourcescope.extractor import KIND_ORDER, ExtractionResult, Kind, SourceMention, extract_mentions
 from sourcescope.patterns import CitationPattern, QuoteSpan, default_patterns, extract_quote_spans
 
-from conftest import GOLDEN_CORPUS, GOLDEN_GOLD
+from conftest import GOLDEN_CORPUS, GOLDEN_GOLD, extract_all, read_articles
 
 MENTION_KEYS = ("article_id", "sentence_index", "platform", "kind", "pattern_id", "span_start", "span_end")
 
@@ -81,8 +81,8 @@ def test_a_record_survives_a_pickle_round_trip(record_type):
 
 def _golden_reports() -> tuple:
     """The golden corpus's filled accumulator and its reports, as evaluate and analyze --labeler keyword build them."""
-    corpus = list(ingest(str(GOLDEN_CORPUS)))
-    results = extract_corpus(corpus, default_patterns())
+    corpus = read_articles(GOLDEN_CORPUS)
+    results = extract_all(corpus, default_patterns())
     counts = evaluator.compare((m for result in results for m in result.mentions), evaluator.load_gold(GOLDEN_GOLD))
     acc = analytics.accumulate(zip(corpus, results), analytics.KeywordTopicLabeler())
     reports = (evaluator.metrics(counts), analytics.media_report(acc), analytics.trend_report(acc),
@@ -93,7 +93,6 @@ def _golden_reports() -> tuple:
 ACC, COUNTS, (EVAL, MEDIA, TREND, RATIO, TOPICS) = _golden_reports()
 
 REPORT_RECORDS = {
-    evaluator.GoldAnnotation: evaluator.load_gold(GOLDEN_GOLD)[0],
     evaluator.ConfusionCounts: COUNTS,
     evaluator.MetricRow: EVAL.macro,
     evaluator.EvalReport: EVAL,
@@ -165,11 +164,11 @@ def test_default_confusion_counts_refuse_mutation():
         assert dict(counter) == {kind: 0 for kind in KIND_ORDER}
         with pytest.raises(TypeError):
             counter[Kind.QUOTATION] = 1
-    assert evaluator.metrics(counts) == evaluator.metrics(evaluator.compare([], []))
+    assert evaluator.metrics(counts) == evaluator.metrics(evaluator.compare([], {}))
 
 
 def test_two_compare_results_share_no_dict():
-    first, second = evaluator.compare([], []), evaluator.compare([], [])
+    first, second = evaluator.compare([], {}), evaluator.compare([], {})
     dicts = [*first, *second]
     assert len({id(counts) for counts in dicts}) == 6
     assert all(type(counts) is dict for counts in dicts)
