@@ -1,4 +1,6 @@
 import itertools
+import json
+import random
 
 import pytest
 
@@ -67,6 +69,28 @@ class TestCompare:
         golds = gold((1, Kind.QUOTATION)) if taken == "in-gold" else {}
         with pytest.raises(ValueError, match="duplicate prediction key"):
             compare(iter([mention(1, Kind.QUOTATION), mention(2, Kind.QUOTATION), mention(1, Kind.EMBEDDING)]), golds)
+
+    def test_keyed_gold_file_scores_as_its_annotations(self, tmp_path):
+        rng = random.Random(25)
+        keys = {(f"a{rng.randrange(40)}", rng.randrange(4), rng.choice(list(Platform))) for _ in range(300)}
+        annotations = [(key, rng.choice(KIND_ORDER)) for key in sorted(keys)[::2]]
+        predicted = [SourceMention(*key, rng.choice(KIND_ORDER), None, 0, 1) for key in sorted(keys)[1::3]]
+        path = tmp_path / "gold.jsonl"
+        path.write_text("".join(json.dumps({"article_id": key[0], "sentence_index": key[1],
+                                            "platform": key[2].value, "kind": kind.value}) + "\n"
+                                for key, kind in annotations), encoding="utf-8")
+        assert list(load_gold(path).items()) == annotations
+        expected = ConfusionCounts(*({kind: 0 for kind in KIND_ORDER} for _ in range(3)))
+        golds = dict(annotations)
+        for m in predicted:  # one key at a time, each prediction against the gold at its key
+            gold_kind = golds.pop((m.article_id, m.sentence_index, m.platform), None)
+            (expected.tp if gold_kind == m.kind else expected.fp)[m.kind] += 1
+            if gold_kind not in (None, m.kind):
+                expected.fn[gold_kind] += 1
+        for gold_kind in golds.values():
+            expected.fn[gold_kind] += 1
+        assert min(sum(c.values()) for c in (expected.tp, expected.fp, expected.fn)) > 10
+        assert compare(iter(predicted), load_gold(path)) == expected
 
     def test_exact_accounting_property(self):
         predicted = [mention(i, KIND_ORDER[i % 3]) for i in range(30)]

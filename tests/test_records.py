@@ -1,9 +1,9 @@
 """The record types a run builds: immutable named tuples, and one plain class of counters.
 
-The per-article, pattern, quote and mention records come first. Their field
-order is part of the output contract (a mention's fields are its
-mentions.jsonl keys, in order), and pool workers started by `spawn` or
-`forkserver` receive them pickled. The report records of evaluate and analyze
+The per-article, pattern, quote, mention, sentence and rejection records
+come first. Their field order is part of the output contract (a mention's
+fields are its mentions.jsonl keys, in order), and pool workers started by
+`spawn` or `forkserver` receive them pickled. The report records of evaluate and analyze
 follow; analyze's workers send their StatsAccumulator back pickled.
 """
 
@@ -17,9 +17,10 @@ import pytest
 
 from sourcescope import analytics, cli, evaluator
 from sourcescope.analytics import StatsAccumulator
-from sourcescope.corpus import Article, MediaType
+from sourcescope.corpus import Article, CorpusReader, MediaType, Rejection
 from sourcescope.extractor import KIND_ORDER, ExtractionResult, Kind, SourceMention, extract_mentions
 from sourcescope.patterns import CitationPattern, QuoteSpan, default_patterns, extract_quote_spans
+from sourcescope.segmenter import SentenceSpan, segment
 
 from conftest import GOLDEN_CORPUS, GOLDEN_GOLD, extract_all, read_articles
 
@@ -35,15 +36,20 @@ ARTICLE = Article(
 )
 
 
-def _record(record_type):
+def _record(record_type, tmp_path):
     """One record of record_type, as a run builds it."""
     result = extract_mentions(ARTICLE, default_patterns(), sentences=True)
     assert len(result.mentions) == 2  # one of each platform
-    records = [ARTICLE, default_patterns().patterns[0], extract_quote_spans(ARTICLE.body)[0], result.mentions[0], result]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("not json\n", encoding="utf-8")
+    with CorpusReader(corpus, fail_fast=False) as reader:
+        rejections = list(reader)
+    records = [ARTICLE, default_patterns().patterns[0], extract_quote_spans(ARTICLE.body)[0], result.mentions[0], result,
+               segment(ARTICLE.body)[0], *rejections]
     return next(record for record in records if type(record) is record_type)
 
 
-RECORD_TYPES = (Article, CitationPattern, QuoteSpan, SourceMention, ExtractionResult)
+RECORD_TYPES = (Article, CitationPattern, QuoteSpan, SourceMention, ExtractionResult, SentenceSpan, Rejection)
 
 
 def test_mention_fields_are_the_mentions_jsonl_keys_in_order(tmp_path, capsys):
@@ -55,8 +61,8 @@ def test_mention_fields_are_the_mentions_jsonl_keys_in_order(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("record_type", RECORD_TYPES, ids=lambda t: t.__name__)
-def test_a_record_refuses_attribute_assignment(record_type):
-    record = _record(record_type)
+def test_a_record_refuses_attribute_assignment(record_type, tmp_path):
+    record = _record(record_type, tmp_path)
     first_field = record._fields[0]
     with pytest.raises(AttributeError):
         setattr(record, first_field, "changed")
@@ -70,8 +76,8 @@ def test_article_optional_fields_default_to_none():
 
 
 @pytest.mark.parametrize("record_type", RECORD_TYPES, ids=lambda t: t.__name__)
-def test_a_record_survives_a_pickle_round_trip(record_type):
-    record = _record(record_type)
+def test_a_record_survives_a_pickle_round_trip(record_type, tmp_path):
+    record = _record(record_type, tmp_path)
     again = pickle.loads(pickle.dumps(record))
     assert again == record and type(again) is type(record)
 
