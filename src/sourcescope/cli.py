@@ -35,20 +35,19 @@ def _out_dir(path):
     out.mkdir(parents=True, exist_ok=True)
     # SIGTERM and SIGINT wait while the directory is made and while it is published and removed, so that
     # their unwinding neither leaves it behind nor moves only some of its files
-    stop_signals = {signal.SIGTERM, signal.SIGINT}
-    signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
+    signal.pthread_sigmask(signal.SIG_BLOCK, extractor.STOP_SIGNALS)
     try:
         # an error in removing the directory must not replace the run's own
         with tempfile.TemporaryDirectory(prefix=".", suffix=".tmp", dir=out, ignore_cleanup_errors=True) as staging:
-            signal.pthread_sigmask(signal.SIG_UNBLOCK, stop_signals)
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, extractor.STOP_SIGNALS)
             try:
                 yield Path(staging)
             finally:  # also when the run fails, so that the removal is not cut short
-                signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
+                signal.pthread_sigmask(signal.SIG_BLOCK, extractor.STOP_SIGNALS)
             for staged in Path(staging).iterdir():
                 os.replace(staged, out / staged.name)
     finally:
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, stop_signals)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, extractor.STOP_SIGNALS)
 
 
 def _labeler(args: argparse.Namespace):

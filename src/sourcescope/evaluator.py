@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional
 
 from sourcescope._fmt import fmt2, pct, write_lines
@@ -11,13 +10,10 @@ from sourcescope.extractor import KIND_ORDER, Kind, SourceMention
 from sourcescope.patterns import Platform
 
 
-_ZERO_COUNTS = MappingProxyType(dict.fromkeys(KIND_ORDER, 0))  # read-only, so the defaults share it safely
-
-
 class ConfusionCounts(NamedTuple):
-    tp: dict = _ZERO_COUNTS  # Kind -> int
-    fp: dict = _ZERO_COUNTS
-    fn: dict = _ZERO_COUNTS
+    tp: dict  # Kind -> int
+    fp: dict
+    fn: dict
 
 
 class MetricRow(NamedTuple):
@@ -79,7 +75,7 @@ def compare(predicted: Iterable[SourceMention], gold_map: dict) -> ConfusionCoun
     one that repeats a key raises ValueError. gold_map is load_gold's map,
     which compare uses up: it sets each key a prediction takes to None.
     """
-    counts = ConfusionCounts(*(dict(_ZERO_COUNTS) for _ in ConfusionCounts._fields))
+    counts = ConfusionCounts(dict.fromkeys(KIND_ORDER, 0), dict.fromkeys(KIND_ORDER, 0), dict.fromkeys(KIND_ORDER, 0))
     for mention in predicted:
         key, kind = (mention.article_id, mention.sentence_index, mention.platform), mention.kind
         gold_kind = gold_map.get(key, False)  # None once a prediction has taken the key

@@ -34,6 +34,9 @@ MIN_QUOTE_CHARS = 3
 CHUNK_ARTICLES = 128
 CHUNKS_PER_WORKER = 4
 
+# the signals on which the CLI unwinds a run: blocked while its output directory or pool is made or removed
+STOP_SIGNALS = frozenset({signal.SIGTERM, signal.SIGINT})
+
 
 class Kind(str, Enum):
     QUOTATION = "quotation"
@@ -90,16 +93,16 @@ def classify_sentence(sentence: str, folded: str, pattern_set: PatternSet) -> li
 
 
 def extract_mentions(article: Article, pattern_set: PatternSet, *, sentences: bool = False) -> ExtractionResult:
-    """Quote-scan and case-fold the body once; segment it if it could cite or `sentences` asks for its sentence
-    spans (else `sentences` is ()), and classify each sentence that could cite. A sentence's fold is its slice of
-    the body's, for the gate and the cascade: fold_case maps one character to one, and final sigma's context stops
-    at the whitespace around a span."""
+    """Quote-scan and case-fold the body once; segment it, with those quote spans, if it could cite or `sentences`
+    asks for its (start, end) sentence spans (else `sentences` is ()), and classify each sentence that could cite.
+    A sentence's fold is its slice of the body's, for the gate and the cascade: fold_case maps one character to
+    one, and final sigma's context stops at the whitespace around a span."""
     quotes = extract_quote_spans(article.body)
     folded = fold_case(article.body)
     cites = could_cite(folded, pattern_set)
     spans = segment(article.body, quotes) if cites or sentences else ()
     mentions: list[SourceMention] = []
-    for index, start, end in spans if cites else ():
+    for index, (start, end) in enumerate(spans) if cites else ():
         sentence, sentence_fold = article.body[start:end], folded[start:end]
         if could_cite(sentence_fold, pattern_set):  # no key or marker, no mention
             for platform, kind, span, pattern_id in classify_sentence(sentence, sentence_fold, pattern_set):
@@ -107,8 +110,8 @@ def extract_mentions(article: Article, pattern_set: PatternSet, *, sentences: bo
     return ExtractionResult(
         article_id=article.id,
         mentions=tuple(mentions),
-        sentences=tuple((start, end) for _, start, end in spans) if sentences else (),
-        direct_quote_count=sum(1 for q in quotes if q.end - q.start >= MIN_QUOTE_CHARS),
+        sentences=tuple(spans) if sentences else (),
+        direct_quote_count=sum(1 for start, end in quotes if end - start >= MIN_QUOTE_CHARS),
     )
 
 
@@ -119,7 +122,7 @@ def _init_worker(function, context: tuple) -> None:
     global _worker_task
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the parent's unwinding handler
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the whole group; the parent unwinds the pool
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM, signal.SIGINT})  # blocked in the parent at the fork
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)  # blocked in the parent at the fork
     _worker_task = (function, context)
 
 
@@ -150,15 +153,14 @@ def map_chunks(function, articles: Iterable[Article], context: tuple = (), worke
     mp_context = get_context("fork" if sys.platform == "linux" else None)
     # SIGTERM and SIGINT wait until the first submit has forked the workers and started the pool's thread:
     # raised in between, their unwinding would find a pool that shutdown() cannot stop
-    stop_signals = {signal.SIGTERM, signal.SIGINT}
-    signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
+    signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
     try:
         with ProcessPoolExecutor(workers, mp_context, _init_worker, (function, context)) as pool:
             pending: deque = deque()  # of futures of the chunks' output lists
             try:
                 for chunk in chunks:
                     pending.append(pool.submit(_run_chunk, chunk))
-                    signal.pthread_sigmask(signal.SIG_UNBLOCK, stop_signals)
+                    signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
                     if len(pending) == workers * CHUNKS_PER_WORKER:
                         yield from pending.popleft().result()
                 while pending:
@@ -169,7 +171,7 @@ def map_chunks(function, articles: Iterable[Article], context: tuple = (), worke
     except BrokenProcessPool as exc:  # a worker died, killed or out of memory
         raise OSError(f"extraction worker died: {exc}") from None
     finally:  # also when no chunk was submitted
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, stop_signals)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
 
 
 def extract_chunk(articles, pattern_set: PatternSet) -> Iterator[ExtractionResult]:

@@ -25,13 +25,6 @@ class CitationPattern(NamedTuple):
     anchored: str = "both"  # "both": word boundary on each side; "left": leading only
 
 
-class QuoteSpan(NamedTuple):
-    start: int  # content offsets, exclusive of the quote marks
-    end: int
-    open_mark: str
-    close_mark: str
-
-
 def _compile_phrase(phrase: str, anchored: str) -> re.Pattern:
     # an ASCII phrase runs case-sensitively on fold_case(sentence), opening with its first word so that re skips
     # ahead to it; any other keeps re.IGNORECASE on the sentence, which matches µ to μ (fold_case keeps them apart)
@@ -281,13 +274,13 @@ def contains_quote_signs(sentence: str) -> bool:
     return False
 
 
-def extract_quote_spans(text: str) -> list[QuoteSpan]:
-    """Maximal non-nested quote spans, scanned left to right.
+def extract_quote_spans(text: str) -> list[tuple[int, int]]:
+    """Maximal non-nested quote spans, scanned left to right, as (start, end) offsets of their content.
 
     Spans exclude their delimiting marks. An open mark without a matching
     close yields no span.
     """
-    spans: list[QuoteSpan] = []
+    spans: list[tuple[int, int]] = []
     pos = 0
     while m := _MARK_RE.search(text, pos):
         open_mark = m.group()
@@ -299,6 +292,6 @@ def extract_quote_spans(text: str) -> list[QuoteSpan]:
         while k >= 0 and close_mark in ("'", "’") and _is_apostrophe(text, k):
             k = text.find(close_mark, k + 1)
         if k >= 0:  # an unbalanced open yields no span; the scan goes on after it
-            spans.append(QuoteSpan(pos, k, open_mark, close_mark))
+            spans.append((pos, k))
             pos = k + len(close_mark)
     return spans

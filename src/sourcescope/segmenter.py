@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from itertools import groupby
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
-from sourcescope.patterns import OPENING_QUOTE_CHARS, QuoteSpan, extract_quote_spans
+from sourcescope.patterns import OPENING_QUOTE_CHARS
 
 ABBREVIATIONS = frozenset(
     {
@@ -39,38 +39,33 @@ _TERMINATOR_RE = re.compile(
 _PARAGRAPH_RE = re.compile(r"\n[ \t]*\n\s*")  # ends where the next sentence starts
 
 
-class SentenceSpan(NamedTuple):
-    index: int
-    start: int  # inclusive
-    end: int  # exclusive
-
-
-def segment(text: str, quotes: Optional[Sequence[QuoteSpan]] = None) -> list[SentenceSpan]:
-    """Sentence spans of text; `quotes` is extract_quote_spans(text) when already known."""
+def segment(text: str, quotes: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The (start, end) spans of text's sentences, in order, so a sentence's index is its position in the list.
+    No sentence is cut inside a span of `quotes`, which is extract_quote_spans(text)."""
     cuts = []  # (end of the sentence before, start of the one after)
     for m in _PARAGRAPH_RE.finditer(text):
         end = m.start()
         while end and text[end - 1].isspace():
             end -= 1
         cuts.append((end, m.end()))
-    regions = iter(extract_quote_spans(text) if quotes is None else quotes)  # sorted and disjoint
+    regions = iter(quotes)  # sorted and disjoint
     region = next(regions, None)
     for m in _TERMINATOR_RE.finditer(text):
         # groups 2 and 3 close after group 1, so lastindex is 1 unless one of them matched
         if m.lastindex > 1 and (m[2] and not m[2].isupper() or m[3] and m[3].isupper()):
             continue
         pos = m.start()
-        while region is not None and region.end <= pos:
+        while region is not None and region[1] <= pos:
             region = next(regions, None)
-        if region is not None and region.start <= pos:
+        if region is not None and region[0] <= pos:
             continue  # inside a quote span
         cuts.append((m.end(), m.end(1)))
     cuts.sort()
     cuts.append((len(text.rstrip()), len(text)))
-    spans: list[SentenceSpan] = []
+    spans: list[tuple[int, int]] = []
     start = len(text) - len(text.lstrip())
     for end, after in cuts:
         if end > start:
-            spans.append(SentenceSpan(len(spans), start, end))
+            spans.append((start, end))
         start = after
     return spans

@@ -39,7 +39,7 @@ from sourcescope.evaluator import (
     metrics,
 )
 from sourcescope.extractor import Kind, write_mentions
-from sourcescope.patterns import Platform, contains_quote_signs, default_patterns
+from sourcescope.patterns import Platform, contains_quote_signs, default_patterns, extract_quote_spans
 from sourcescope.segmenter import segment
 
 PP = 0.01  # percentage-point tolerance
@@ -174,15 +174,15 @@ def test_criterion_5_property_suites(pattern_set, tmp_path):
         # segmentation: spans ordered, trimmed, and covering all non-whitespace
         for _ in range(40):
             body = random_body(rng)
-            spans = segment(body)
+            spans = segment(body, extract_quote_spans(body))
             covered = set()
             last_end = -1
-            for span in spans:
-                assert span.start > last_end or last_end == -1
-                assert span.start <= span.end
-                assert not body[span.start:span.end][:1].isspace()
-                covered.update(range(span.start, span.end))
-                last_end = span.end
+            for start, end in spans:
+                assert start > last_end or last_end == -1
+                assert start <= end
+                assert not body[start:end][:1].isspace()
+                covered.update(range(start, end))
+                last_end = end
             for i, ch in enumerate(body):
                 if not ch.isspace():
                     assert i in covered
@@ -193,14 +193,14 @@ def test_criterion_5_property_suites(pattern_set, tmp_path):
         index = {a.id: a for a in corpus}
         for result in results:
             body = index[result.article_id].body
-            spans = {s.index: s for s in segment(body)}
+            spans = dict(enumerate(segment(body, extract_quote_spans(body))))
             embedded = set()
             for m in result.mentions:
                 if m.kind == Kind.EMBEDDING:
                     assert m.platform == Platform.TWITTER
                     embedded.add(m.sentence_index)
             for m in result.mentions:
-                sentence = body[spans[m.sentence_index].start:spans[m.sentence_index].end]
+                sentence = body[spans[m.sentence_index][0]:spans[m.sentence_index][1]]
                 if m.platform == Platform.TWITTER and m.kind != Kind.EMBEDDING:
                     assert m.sentence_index not in embedded
                 if m.kind == Kind.QUOTATION:

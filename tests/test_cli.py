@@ -259,9 +259,9 @@ class TestExtract:
         # reference: segment each body again after extraction, as a separate pass
         expected = []
         for article in articles:
-            for span in segment(article.body):
-                text = article.body[span.start:span.end].replace("\t", " ").replace("\n", " ")
-                expected.append(f"{article.id}\t{span.index}\t{text}\n")
+            for index, (start, end) in enumerate(segment(article.body, patterns.extract_quote_spans(article.body))):
+                text = article.body[start:end].replace("\t", " ").replace("\n", " ")
+                expected.append(f"{article.id}\t{index}\t{text}\n")
         assert (out / "sentences.tsv").read_bytes() == "".join(expected).encode("utf-8")
 
     def test_each_body_segmented_and_quote_scanned_once(self, tmp_path, capsys, monkeypatch):

@@ -134,7 +134,7 @@ class TestMetrics:
         assert macro.recall == pytest.approx(84.23, abs=0.005)
 
     def test_zero_counts_report_zero(self):
-        report = metrics(ConfusionCounts())
+        report = metrics(counts_from((0, 0, 0), (0, 0, 0), (0, 0, 0)))
         for row in report.per_kind.values():
             assert (row.precision, row.recall, row.f1) == (0.0, 0.0, 0.0)
         assert report.micro.f1 == 0.0

@@ -98,21 +98,21 @@ def naive_phrase_hits(sentence, pattern_set):
 
 def naive_extract(art, pattern_set):
     mentions = []
-    spans = segment(art.body)
-    for span in spans:
-        sentence = art.body[span.start:span.end]
+    spans = segment(art.body, extract_quote_spans(art.body))
+    for index, (sentence_start, sentence_end) in enumerate(spans):
+        sentence = art.body[sentence_start:sentence_end]
         first = {}
         for pid, platform, start, end in naive_phrase_hits(sentence, pattern_set):
             first.setdefault(platform, (pid, start, end))
         emb = find_embedding_span(sentence, fold_case(sentence))
         if emb is not None:
             mentions.append(
-                SourceMention(art.id, span.index, Platform.TWITTER, Kind.EMBEDDING, None, emb[0], emb[1])
+                SourceMention(art.id, index, Platform.TWITTER, Kind.EMBEDDING, None, emb[0], emb[1])
             )
             first.pop(Platform.TWITTER, None)
         for platform, (pid, start, end) in first.items():
             kind = Kind.QUOTATION if contains_quote_signs(sentence) else Kind.PARAPHRASE
-            mentions.append(SourceMention(art.id, span.index, platform, kind, pid, start, end))
+            mentions.append(SourceMention(art.id, index, platform, kind, pid, start, end))
     mentions.sort(key=lambda m: (m.sentence_index, m.platform.value))
     return tuple(mentions)
 
@@ -292,9 +292,9 @@ def test_sentence_fold_is_its_slice_of_the_body_fold():
         body = fold_fuzz_body(rng)
         folded = fold_case(body)
         assert len(folded) == len(body)
-        for span in segment(body):
-            sentence = fold_case(body[span.start:span.end])
-            assert folded[span.start:span.end] == sentence, (body, span)
+        for start, end in segment(body, extract_quote_spans(body)):
+            sentence = fold_case(body[start:end])
+            assert folded[start:end] == sentence, (body, start, end)
             finals += "ς" in sentence
     assert finals > 100
 
@@ -360,13 +360,13 @@ def ungated_extract(art, pattern_set):
     quotes = extract_quote_spans(art.body)
     spans = segment(art.body, quotes)
     mentions = tuple(
-        SourceMention(art.id, span.index, platform, kind, pattern_id, start, end)
-        for span in spans
-        for sentence in [art.body[span.start:span.end]]
+        SourceMention(art.id, index, platform, kind, pattern_id, start, end)
+        for index, (sentence_start, sentence_end) in enumerate(spans)
+        for sentence in [art.body[sentence_start:sentence_end]]
         for platform, kind, (start, end), pattern_id in classify_sentence(sentence, fold_case(sentence), pattern_set)
     )
-    direct_quotes = sum(1 for q in quotes if q.end - q.start >= MIN_QUOTE_CHARS)
-    return ExtractionResult(art.id, mentions, tuple((s.start, s.end) for s in spans), direct_quotes)
+    direct_quotes = sum(1 for start, end in quotes if end - start >= MIN_QUOTE_CHARS)
+    return ExtractionResult(art.id, mentions, tuple(spans), direct_quotes)
 
 
 _GATE_MARKERS = (
@@ -482,7 +482,7 @@ class TestWithoutSentences:
             assert without.mentions == with_spans.mentions == naive_extract(art, pattern_set)
             assert without.direct_quote_count == with_spans.direct_quote_count
             assert without.sentences == () and with_spans.sentences == tuple(
-                (span.start, span.end) for span in segment(art.body)
+                segment(art.body, extract_quote_spans(art.body))
             )
 
     def test_body_that_cannot_cite_is_not_segmented(self, pattern_set, monkeypatch):
@@ -590,12 +590,12 @@ class TestProperties:
             index = {a.id: a for a in corpus}
             for result in extract_all(corpus, pattern_set):
                 body = index[result.article_id].body
-                spans = segment(body)
+                spans = segment(body, extract_quote_spans(body))
                 for m in result.mentions:
                     if m.kind == Kind.EMBEDDING:
                         continue
-                    sp = spans[m.sentence_index]
-                    assert contains_quote_signs(body[sp.start:sp.end]) == (m.kind == Kind.QUOTATION)
+                    start, end = spans[m.sentence_index]
+                    assert contains_quote_signs(body[start:end]) == (m.kind == Kind.QUOTATION)
 
     def test_embedding_precedence(self, pattern_set):
         rng = random.Random(52)

@@ -241,7 +241,7 @@ class TestCompileAtFirstRun:
         assert len(compiled) == len(set(compiled))
         passed = set()  # the phrases whose prescreen some sentence of the corpus passes
         for article in corpus:
-            for _, start, end in segment(article.body, extract_quote_spans(article.body)):
+            for start, end in segment(article.body, extract_quote_spans(article.body)):
                 folded = fold_case(article.body[start:end])
                 words = {word.encode() for word in re.findall(r"\w+", folded)}
                 for pat in ps.patterns:
@@ -440,7 +440,8 @@ class TestQuoteSpans:
         text = '"I\'m just going to pay my respects," Trump told Fox News'
         spans = extract_quote_spans(text)
         assert len(spans) == 1
-        assert text[spans[0].start:spans[0].end] == "I'm just going to pay my respects,"
+        start, end = spans[0]
+        assert text[start:end] == "I'm just going to pay my respects,"
 
     def test_no_marks(self):
         assert extract_quote_spans("plain text with no marks") == []
@@ -449,15 +450,14 @@ class TestQuoteSpans:
     def test_every_table_pair_yields_a_span(self, open_mark, close_mark):
         text = f"He wrote {open_mark}all done{close_mark} today"
         spans = extract_quote_spans(text)
-        assert [(text[s.start:s.end], s.open_mark, s.close_mark) for s in spans] == [
-            ("all done", open_mark, close_mark)
-        ]
+        assert [(text[start - len(open_mark):start], text[start:end], text[end:end + len(close_mark)])
+                for start, end in spans] == [(open_mark, "all done", close_mark)]
         assert open_mark[0] in OPENING_QUOTE_CHARS
 
     def test_two_spans(self):
         text = '"a" and "b"'
         spans = extract_quote_spans(text)
-        assert [text[s.start:s.end] for s in spans] == ["a", "b"]
+        assert [text[start:end] for start, end in spans] == ["a", "b"]
 
     def test_trailing_open_yields_no_span(self):
         assert extract_quote_spans('he said "and never finished') == []
@@ -465,23 +465,20 @@ class TestQuoteSpans:
     def test_curly_pairing_with_inner_apostrophe(self):
         text = "“It’s fine,” she said, ‘really’"
         spans = extract_quote_spans(text)
-        assert [text[s.start:s.end] for s in spans] == ["It’s fine,", "really"]
+        assert [text[start:end] for start, end in spans] == ["It’s fine,", "really"]
 
     def test_spans_exclude_marks_and_never_overlap(self):
         rng = random.Random(13)
         for _ in range(200):
             text = random_body(rng)
             spans = extract_quote_spans(text)
-            for a, b in zip(spans, spans[1:]):
-                assert a.end <= b.start
-            for s in spans:
-                assert s.start <= s.end
-                content = text[s.start:s.end]
-                assert s.open_mark not in ("",) and s.close_mark
-                # the delimiting marks sit just outside the span
-                assert text[s.start - len(s.open_mark):s.start] == s.open_mark
-                assert text[s.end:s.end + len(s.close_mark)] == s.close_mark
-                assert content == content  # span extraction valid
+            for (_, a_end), (b_start, _) in zip(spans, spans[1:]):
+                assert a_end <= b_start
+            for start, end in spans:
+                assert start <= end
+                # the delimiting marks sit just outside the span: an open mark of the table, then its close
+                assert any(text[:start].endswith(open_mark) and text.startswith(close_mark, end)
+                           for open_mark, close_mark in _PAIR_TABLE), (text, start, end)
 
 
 def test_pattern_set_rejects_unnormalized_phrase():
@@ -567,6 +564,6 @@ def test_quote_spans_equal_naive_oracle():
     for _ in range(50000):
         text = quote_oracle_text(rng)
         expected = naive_quote_spans(text)
-        assert [(s.start, s.end, s.open_mark, s.close_mark) for s in extract_quote_spans(text)] == expected, text
+        assert extract_quote_spans(text) == [(start, end) for start, end, _, _ in expected], text
         pairs_seen.update((open_mark, close_mark) for _, _, open_mark, close_mark in expected)
     assert pairs_seen == set(_PAIR_TABLE)

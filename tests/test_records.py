@@ -1,7 +1,7 @@
 """The record types a run builds: immutable named tuples, and one plain class of counters.
 
-The per-article, pattern, quote, mention, sentence and rejection records
-come first. Their field order is part of the output contract (a mention's
+Quote and sentence spans are plain (start, end) pairs, no records. The
+per-article, pattern, mention and rejection records come first. Their field order is part of the output contract (a mention's
 fields are its mentions.jsonl keys, in order), and pool workers started by
 `spawn` or `forkserver` receive them pickled. The report records of evaluate and analyze
 follow; analyze's workers send their StatsAccumulator back pickled.
@@ -18,9 +18,8 @@ import pytest
 from sourcescope import analytics, cli, evaluator
 from sourcescope.analytics import StatsAccumulator
 from sourcescope.corpus import Article, CorpusReader, MediaType, Rejection
-from sourcescope.extractor import KIND_ORDER, ExtractionResult, Kind, SourceMention, extract_mentions
-from sourcescope.patterns import CitationPattern, QuoteSpan, default_patterns, extract_quote_spans
-from sourcescope.segmenter import SentenceSpan, segment
+from sourcescope.extractor import ExtractionResult, SourceMention, extract_mentions
+from sourcescope.patterns import CitationPattern, default_patterns
 
 from conftest import GOLDEN_CORPUS, GOLDEN_GOLD, extract_all, read_articles
 
@@ -44,12 +43,11 @@ def _record(record_type, tmp_path):
     corpus.write_text("not json\n", encoding="utf-8")
     with CorpusReader(corpus, fail_fast=False) as reader:
         rejections = list(reader)
-    records = [ARTICLE, default_patterns().patterns[0], extract_quote_spans(ARTICLE.body)[0], result.mentions[0], result,
-               segment(ARTICLE.body)[0], *rejections]
+    records = [ARTICLE, default_patterns().patterns[0], result.mentions[0], result, *rejections]
     return next(record for record in records if type(record) is record_type)
 
 
-RECORD_TYPES = (Article, CitationPattern, QuoteSpan, SourceMention, ExtractionResult, SentenceSpan, Rejection)
+RECORD_TYPES = (Article, CitationPattern, SourceMention, ExtractionResult, Rejection)
 
 
 def test_mention_fields_are_the_mentions_jsonl_keys_in_order(tmp_path, capsys):
@@ -162,15 +160,6 @@ def test_merge_leaves_both_operands_unchanged():
     assert merged.article_count == ACC.article_count + other.article_count
     assert all(getattr(merged, name) is not getattr(acc, name) for name in StatsAccumulator.COUNTERS
                for acc in (ACC, other))
-
-
-def test_default_confusion_counts_refuse_mutation():
-    counts = evaluator.ConfusionCounts()
-    for counter in counts:
-        assert dict(counter) == {kind: 0 for kind in KIND_ORDER}
-        with pytest.raises(TypeError):
-            counter[Kind.QUOTATION] = 1
-    assert evaluator.metrics(counts) == evaluator.metrics(evaluator.compare([], {}))
 
 
 def test_two_compare_results_share_no_dict():
