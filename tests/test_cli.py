@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import ast
 import csv
 import errno
 import gc
@@ -1332,6 +1333,14 @@ def test_sigterm_while_a_failed_run_removes_its_staging_directory_waits_for_the_
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_bytes(GOLDEN_CORPUS.read_bytes() + b"{not json\n")
     _run_sigterm_launcher(tmp_path, "staging-removal", ["extract", "--fail-fast", "--corpus", str(corpus_path)])
+
+
+def test_each_signal_mask_names_the_one_set_of_stop_signals():
+    assert extractor.STOP_SIGNALS == {signal.SIGTERM, signal.SIGINT}
+    masks = [call for module in (cli, extractor) for call in ast.walk(ast.parse(Path(module.__file__).read_text()))
+             if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "pthread_sigmask"]
+    assert len(masks) == 8  # _out_dir's four, map_chunks' three and _init_worker's one
+    assert all(getattr(call.args[1], "id", getattr(call.args[1], "attr", None)) == "STOP_SIGNALS" for call in masks)
 
 
 _FREEZE_PROBE = """

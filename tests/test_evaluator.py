@@ -39,6 +39,10 @@ class TestCompare:
         counts = compare([], {})
         assert all(v == 0 for d in (counts.tp, counts.fp, counts.fn) for v in d.values())
 
+    def test_each_count_is_a_fresh_dict_of_every_kind_in_kind_order(self):
+        counts = compare([], {})
+        assert [list(d.items()) for d in counts] == [[(kind, 0) for kind in KIND_ORDER]] * 3
+
     def test_exact_match(self):
         counts = compare([mention(1, Kind.QUOTATION)], gold((1, Kind.QUOTATION)))
         assert counts.tp[Kind.QUOTATION] == 1
@@ -138,6 +142,11 @@ class TestMetrics:
         for row in report.per_kind.values():
             assert (row.precision, row.recall, row.f1) == (0.0, 0.0, 0.0)
         assert report.micro.f1 == 0.0
+
+    def test_confusion_counts_have_no_defaults(self):
+        assert ConfusionCounts._field_defaults == {}
+        with pytest.raises(TypeError):
+            ConfusionCounts()
 
     def test_scale_free_property(self):
         base = counts_from(tp=(4, 5, 6), fp=(1, 2, 0), fn=(2, 0, 3))

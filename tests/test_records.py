@@ -19,7 +19,8 @@ from sourcescope import analytics, cli, evaluator
 from sourcescope.analytics import StatsAccumulator
 from sourcescope.corpus import Article, CorpusReader, MediaType, Rejection
 from sourcescope.extractor import ExtractionResult, SourceMention, extract_mentions
-from sourcescope.patterns import CitationPattern, default_patterns
+from sourcescope.patterns import CitationPattern, default_patterns, extract_quote_spans
+from sourcescope.segmenter import segment
 
 from conftest import GOLDEN_CORPUS, GOLDEN_GOLD, extract_all, read_articles
 
@@ -78,6 +79,27 @@ def test_a_record_survives_a_pickle_round_trip(record_type, tmp_path):
     record = _record(record_type, tmp_path)
     again = pickle.loads(pickle.dumps(record))
     assert again == record and type(again) is type(record)
+
+
+def _spans(form):
+    """ARTICLE's quote spans or sentence spans, as extract_mentions gets them."""
+    quotes = extract_quote_spans(ARTICLE.body)
+    return quotes if form == "quote" else segment(ARTICLE.body, quotes)
+
+
+@pytest.mark.parametrize("form", ("quote", "sentence"))
+def test_a_span_is_a_plain_pair_of_ints(form):
+    spans = _spans(form)
+    assert spans and type(spans) is list
+    for span in spans:
+        assert type(span) is tuple and len(span) == 2 and all(type(offset) is int for offset in span)
+        assert 0 <= span[0] < span[1] <= len(ARTICLE.body)
+
+
+def test_the_result_holds_the_segmenter_pairs_as_its_sentences():
+    result = extract_mentions(ARTICLE, default_patterns(), sentences=True)
+    assert type(result.sentences) is tuple and result.sentences == tuple(_spans("sentence"))
+    assert pickle.loads(pickle.dumps(result)).sentences == result.sentences
 
 
 # --- the report records of evaluate and analyze ---

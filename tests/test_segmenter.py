@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import random
 import re
@@ -8,6 +10,7 @@ from bisect import bisect_right
 from conftest import random_body
 
 from sourcescope.patterns import OPENING_QUOTE_CHARS, extract_quote_spans, fold_case
+from sourcescope import segmenter
 from sourcescope.segmenter import _TERMINATOR_RE, ABBREVIATIONS, segment
 
 
@@ -45,6 +48,21 @@ def test_split_requires_uppercase_or_quote():
 def test_terminator_inside_quotes_does_not_split():
     text = '"So sad!" Trump tweeted.'
     assert sentences(text) == [text]
+
+
+def test_cuts_only_outside_the_quote_spans_it_is_given():
+    text = '"So sad! Very bad." Trump tweeted.'
+    assert segment(text, extract_quote_spans(text)) == [(0, len(text))]
+    assert segment(text, []) == [(0, 8), (9, len(text))]  # no quote spans given, so the '!' cuts
+    plain = "He left. She came. They met."
+    assert segment(plain, [(3, 12)]) == [(0, 18), (19, len(plain))]  # a given span, whatever its marks
+
+
+def test_quotes_is_required_and_the_segmenter_scans_no_quotes():
+    assert inspect.signature(segment).parameters["quotes"].default is inspect.Parameter.empty
+    tree = ast.parse(inspect.getsource(segmenter))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "extract_quote_spans" not in names and not hasattr(segmenter, "extract_quote_spans")
 
 
 def test_paragraph_break_always_splits():
